@@ -224,9 +224,8 @@ fn print_io_patterns(opts: &Options) {
             .map_or(f64::NAN, |r| r.hit_rate)
     };
     println!(
-        "scan+point @ 10% pool hit rates: sieve {:.4}, clock {:.4}, lru {:.4}, lru-scan {:.4}",
+        "scan+point @ 10% pool hit rates: sieve {:.4}, lru {:.4}, lru-scan {:.4}",
         hit("sieve"),
-        hit("clock"),
         hit("lru"),
         hit("lru-scan")
     );

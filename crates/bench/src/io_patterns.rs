@@ -88,7 +88,7 @@ const SCAN_EVERY: usize = 8;
 pub struct IoPatternRow {
     /// Pager backend the cell ran on (`mem` or `file`).
     pub backend: &'static str,
-    /// Replacement policy name (`lru`, `clock`, `sieve`, `lru-scan`).
+    /// Replacement policy name (`lru`, `sieve`, `lru-scan`).
     pub policy: &'static str,
     /// Pool size as a percentage of the index's pages.
     pub pool_pct: usize,
@@ -531,7 +531,7 @@ mod tests {
                 .expect("cell exists")
         };
         let oblivious = hit("lru-scan");
-        let best = hit("sieve").max(hit("clock")).max(hit("lru"));
+        let best = hit("sieve").max(hit("lru"));
         assert!(
             best >= oblivious,
             "hint-aware policies ({best:.3}) must not lose to the \

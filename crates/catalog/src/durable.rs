@@ -92,19 +92,12 @@ const TAG_ROWS: u8 = 3;
 /// Chunk tag: a run of heap-directory page ids ([`CatalogChunk::Heap`]).
 const TAG_HEAP: u8 = 4;
 
-/// Index kind tags persisted in the catalog (stable on-disk values).
-pub(crate) const KIND_TRIE: u8 = 0;
-pub(crate) const KIND_SUFFIX: u8 = 1;
-pub(crate) const KIND_KDTREE: u8 = 2;
-pub(crate) const KIND_PQUADTREE: u8 = 3;
-pub(crate) const KIND_PMR: u8 = 4;
-
 /// Durable identity of one physical index.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PersistedIndex {
     /// Index name (unique per table).
     pub name: String,
-    /// Index kind tag (`KIND_*`).
+    /// Index kind tag (the `KIND_*` values owned by the index module).
     pub kind: u8,
     /// The interface parameters the tree was created with (config
     /// round-trip).
@@ -858,6 +851,7 @@ pub(crate) fn read_catalog(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::KIND_TRIE;
     use spgist_core::{ClusteringPolicy, NodeShrink, PathShrink};
 
     fn sample_config() -> SpGistConfig {

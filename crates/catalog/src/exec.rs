@@ -13,9 +13,11 @@
 //! honest cost, and is the fallback when no operator class helps.
 //!
 //! A [`Table`] registers heap data plus physical indexes (any of the five
-//! `SpIndex` implementations), derives the planner's [`AvailableIndex`]
-//! statistics automatically from each index's [`TreeStats`], and executes
-//! the chosen plan; results stream through an [`ExecCursor`] whose
+//! `SpIndex` implementations, dispatched through one trait object — see
+//! the `index` module), derives the planner's [`AvailableIndex`]
+//! statistics automatically from each index's
+//! [`TreeStats`](spgist_core::TreeStats), and executes the chosen plan;
+//! results stream through an [`ExecCursor`] whose
 //! [`ExecCursor::path`]/[`ExecCursor::source`] expose the planned and the
 //! actually-dispatched operator trees.
 //!
@@ -47,13 +49,9 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
-use spgist_core::{RowId, TreeStats};
+use spgist_core::RowId;
 use spgist_indexes::geom::{Point, Rect, Segment};
 use spgist_indexes::query::{PointQuery, SegmentQuery, StringQuery};
-use spgist_indexes::{
-    KdTreeIndex, KdTreeOps, PmrQuadtreeIndex, PmrQuadtreeOps, PointQuadtreeIndex, PointQuadtreeOps,
-    SpIndex, SuffixTreeIndex, TrieIndex, TrieOps,
-};
 use spgist_storage::{
     journal, AccessHint, BufferPool, BufferPoolConfig, CheckpointStats, Codec, FilePager, HeapFile,
     MemPager, PageId, RecordId, StorageError, StorageResult,
@@ -63,9 +61,10 @@ use spgist_wal::{Lsn, TxnId, Wal, WalConfig, WalRecord, AUTOCOMMIT};
 use crate::am::Catalog;
 use crate::cost::{CostEstimate, Selectivity, TableStats, CPU_OPERATOR_COST};
 use crate::durable::{
-    self, CatalogLayout, PersistedIndex, PersistedTable, RowsDelta, TableSnapshot, KIND_KDTREE,
-    KIND_PMR, KIND_PQUADTREE, KIND_SUFFIX, KIND_TRIE, ROWS_PER_CHUNK,
+    self, CatalogLayout, PersistedTable, RowsDelta, TableSnapshot, ROWS_PER_CHUNK,
 };
+pub use crate::index::IndexSpec;
+use crate::index::TableIndex;
 use crate::planner::{AccessPath, AvailableIndex, Planner, QueryPredicate};
 
 // ---------------------------------------------------------------------------
@@ -580,358 +579,6 @@ impl From<&Query> for Query {
 // Physical indexes
 // ---------------------------------------------------------------------------
 
-/// What kind of physical index to build on a table.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum IndexSpec {
-    /// Patricia trie (`SP_GiST_trie`, `VARCHAR`).
-    Trie,
-    /// Suffix tree (`SP_GiST_suffix`, `VARCHAR`).
-    SuffixTree,
-    /// kd-tree (`SP_GiST_kdtree`, `POINT`).
-    KdTree,
-    /// Point quadtree (`SP_GiST_pquadtree`, `POINT`).
-    PointQuadtree,
-    /// PMR quadtree over the given world rectangle (`SP_GiST_pmr`,
-    /// `SEGMENT`).
-    PmrQuadtree {
-        /// The world rectangle the quadtree decomposes.
-        world: Rect,
-    },
-}
-
-impl IndexSpec {
-    /// The operator class this physical index is created with.
-    pub fn operator_class(&self) -> &'static str {
-        match self {
-            IndexSpec::Trie => "SP_GiST_trie",
-            IndexSpec::SuffixTree => "SP_GiST_suffix",
-            IndexSpec::KdTree => "SP_GiST_kdtree",
-            IndexSpec::PointQuadtree => "SP_GiST_pquadtree",
-            IndexSpec::PmrQuadtree { .. } => "SP_GiST_pmr",
-        }
-    }
-
-    /// The key type this index can serve.
-    pub fn key_type(&self) -> KeyType {
-        match self {
-            IndexSpec::Trie | IndexSpec::SuffixTree => KeyType::Varchar,
-            IndexSpec::KdTree | IndexSpec::PointQuadtree => KeyType::Point,
-            IndexSpec::PmrQuadtree { .. } => KeyType::Segment,
-        }
-    }
-
-    /// Stable byte encoding for WAL `CREATE INDEX` records: the durable
-    /// catalog's kind tag, plus the world rectangle where one applies.
-    fn encode_spec(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match self {
-            IndexSpec::Trie => KIND_TRIE.encode(&mut out),
-            IndexSpec::SuffixTree => KIND_SUFFIX.encode(&mut out),
-            IndexSpec::KdTree => KIND_KDTREE.encode(&mut out),
-            IndexSpec::PointQuadtree => KIND_PQUADTREE.encode(&mut out),
-            IndexSpec::PmrQuadtree { world } => {
-                KIND_PMR.encode(&mut out);
-                world.encode(&mut out);
-            }
-        }
-        out
-    }
-
-    fn decode_spec(bytes: &[u8]) -> StorageResult<Self> {
-        let mut buf = bytes;
-        let spec = match u8::decode(&mut buf)? {
-            KIND_TRIE => IndexSpec::Trie,
-            KIND_SUFFIX => IndexSpec::SuffixTree,
-            KIND_KDTREE => IndexSpec::KdTree,
-            KIND_PQUADTREE => IndexSpec::PointQuadtree,
-            KIND_PMR => IndexSpec::PmrQuadtree {
-                world: Rect::decode(&mut buf)?,
-            },
-            tag => {
-                return Err(StorageError::Corrupt(format!(
-                    "WAL CREATE INDEX record names unknown index kind {tag}"
-                )))
-            }
-        };
-        if !buf.is_empty() {
-            return Err(StorageError::Corrupt(
-                "WAL CREATE INDEX record has trailing bytes".into(),
-            ));
-        }
-        Ok(spec)
-    }
-}
-
-fn key_type_mismatch() -> StorageError {
-    StorageError::Unsupported("datum type does not match the index key type".into())
-}
-
-/// Extracts the typed `(key, row)` items a `VARCHAR` index consumes,
-/// rejecting any mismatched datum.
-fn text_items(items: &[(Datum, RowId)]) -> StorageResult<Vec<(String, RowId)>> {
-    items
-        .iter()
-        .map(|(datum, row)| match datum {
-            Datum::Text(s) => Ok((s.clone(), *row)),
-            _ => Err(key_type_mismatch()),
-        })
-        .collect()
-}
-
-/// Extracts the typed `(key, row)` items a `POINT` index consumes.
-fn point_items(items: &[(Datum, RowId)]) -> StorageResult<Vec<(Point, RowId)>> {
-    items
-        .iter()
-        .map(|(datum, row)| match datum {
-            Datum::Point(p) => Ok((*p, *row)),
-            _ => Err(key_type_mismatch()),
-        })
-        .collect()
-}
-
-/// Extracts the typed `(key, row)` items a `SEGMENT` index consumes.
-fn segment_items(items: &[(Datum, RowId)]) -> StorageResult<Vec<(Segment, RowId)>> {
-    items
-        .iter()
-        .map(|(datum, row)| match datum {
-            Datum::Segment(s) => Ok((*s, *row)),
-            _ => Err(key_type_mismatch()),
-        })
-        .collect()
-}
-
-/// One of the five physical index kinds, behind a common dispatch point.
-enum PhysicalIndex {
-    Trie(TrieIndex),
-    Suffix(SuffixTreeIndex),
-    KdTree(KdTreeIndex),
-    Quadtree(PointQuadtreeIndex),
-    Pmr(PmrQuadtreeIndex),
-}
-
-impl PhysicalIndex {
-    fn insert(&self, datum: &Datum, row: RowId) -> StorageResult<()> {
-        match (self, datum) {
-            (PhysicalIndex::Trie(ix), Datum::Text(s)) => SpIndex::insert(ix, s.clone(), row),
-            (PhysicalIndex::Suffix(ix), Datum::Text(s)) => SpIndex::insert(ix, s.clone(), row),
-            (PhysicalIndex::KdTree(ix), Datum::Point(p)) => ix.insert(*p, row),
-            (PhysicalIndex::Quadtree(ix), Datum::Point(p)) => ix.insert(*p, row),
-            (PhysicalIndex::Pmr(ix), Datum::Segment(s)) => ix.insert(*s, row),
-            _ => Err(StorageError::Unsupported(
-                "datum type does not match the index key type".into(),
-            )),
-        }
-    }
-
-    fn delete(&self, datum: &Datum, row: RowId) -> StorageResult<bool> {
-        match (self, datum) {
-            (PhysicalIndex::Trie(ix), Datum::Text(s)) => SpIndex::delete(ix, s, row),
-            (PhysicalIndex::Suffix(ix), Datum::Text(s)) => SpIndex::delete(ix, s, row),
-            (PhysicalIndex::KdTree(ix), Datum::Point(p)) => ix.delete(p, row),
-            (PhysicalIndex::Quadtree(ix), Datum::Point(p)) => ix.delete(p, row),
-            (PhysicalIndex::Pmr(ix), Datum::Segment(s)) => ix.delete(s, row),
-            _ => Err(StorageError::Unsupported(
-                "datum type does not match the index key type".into(),
-            )),
-        }
-    }
-
-    /// Inserts a whole batch of `(datum, row)` items in one call per index
-    /// (the DML-statement form used by [`Table::insert_many`]).  Atomicity
-    /// of the batch with respect to other statements comes from the
-    /// caller's DML lock, not from the index.
-    fn insert_batch(&self, items: &[(Datum, RowId)]) -> StorageResult<()> {
-        match self {
-            PhysicalIndex::Trie(ix) => ix.insert_batch(text_items(items)?),
-            PhysicalIndex::Suffix(ix) => ix.insert_batch(text_items(items)?),
-            PhysicalIndex::KdTree(ix) => ix.insert_batch(point_items(items)?),
-            PhysicalIndex::Quadtree(ix) => ix.insert_batch(point_items(items)?),
-            PhysicalIndex::Pmr(ix) => ix.insert_batch(segment_items(items)?),
-        }
-    }
-
-    /// Builds the index from the full `(datum, row)` set in one
-    /// `spgistbuild` pass (see [`SpIndex::bulk_build`]); the index must be
-    /// freshly created and empty.
-    fn bulk_build(&self, items: &[(Datum, RowId)]) -> StorageResult<TreeStats> {
-        match self {
-            PhysicalIndex::Trie(ix) => ix.bulk_build(text_items(items)?),
-            PhysicalIndex::Suffix(ix) => ix.bulk_build(text_items(items)?),
-            PhysicalIndex::KdTree(ix) => ix.bulk_build(point_items(items)?),
-            PhysicalIndex::Quadtree(ix) => ix.bulk_build(point_items(items)?),
-            PhysicalIndex::Pmr(ix) => ix.bulk_build(segment_items(items)?),
-        }
-    }
-
-    /// Releases every page of the backing tree to the pager's free list
-    /// (`DROP INDEX`).
-    fn destroy(self) -> StorageResult<()> {
-        match self {
-            PhysicalIndex::Trie(ix) => ix.destroy(),
-            PhysicalIndex::Suffix(ix) => ix.destroy(),
-            PhysicalIndex::KdTree(ix) => ix.destroy(),
-            PhysicalIndex::Quadtree(ix) => ix.destroy(),
-            PhysicalIndex::Pmr(ix) => ix.destroy(),
-        }
-    }
-
-    fn stats(&self) -> StorageResult<TreeStats> {
-        match self {
-            PhysicalIndex::Trie(ix) => ix.stats(),
-            PhysicalIndex::Suffix(ix) => ix.stats(),
-            PhysicalIndex::KdTree(ix) => ix.stats(),
-            PhysicalIndex::Quadtree(ix) => ix.stats(),
-            PhysicalIndex::Pmr(ix) => ix.stats(),
-        }
-    }
-
-    /// The durable identity of this index: kind, configuration, tree meta
-    /// page, owned-page list, and kind-specific extras (the PMR world
-    /// rectangle, the suffix tree's logical word count).
-    fn persisted(&self, name: &str) -> PersistedIndex {
-        let no_world = Rect::new(0.0, 0.0, 0.0, 0.0);
-        let (kind, world, strings) = match self {
-            PhysicalIndex::Trie(_) => (KIND_TRIE, no_world, 0),
-            PhysicalIndex::Suffix(ix) => (KIND_SUFFIX, no_world, SpIndex::len(ix)),
-            PhysicalIndex::KdTree(_) => (KIND_KDTREE, no_world, 0),
-            PhysicalIndex::Quadtree(_) => (KIND_PQUADTREE, no_world, 0),
-            PhysicalIndex::Pmr(ix) => (KIND_PMR, ix.world(), 0),
-        };
-        let (config, meta_page, pages) = match self {
-            PhysicalIndex::Trie(ix) => (ix.config(), SpIndex::meta_page(ix), ix.owned_pages()),
-            PhysicalIndex::Suffix(ix) => (ix.config(), SpIndex::meta_page(ix), ix.owned_pages()),
-            PhysicalIndex::KdTree(ix) => (ix.config(), SpIndex::meta_page(ix), ix.owned_pages()),
-            PhysicalIndex::Quadtree(ix) => (ix.config(), SpIndex::meta_page(ix), ix.owned_pages()),
-            PhysicalIndex::Pmr(ix) => (ix.config(), SpIndex::meta_page(ix), ix.owned_pages()),
-        };
-        PersistedIndex {
-            name: name.to_string(),
-            kind,
-            config,
-            world,
-            meta_page,
-            pages,
-            strings,
-        }
-    }
-
-    /// Reopens an index from its durable identity — the inverse of
-    /// [`PhysicalIndex::persisted`].  The configuration (and, for the PMR
-    /// quadtree, the world rectangle) round-trips, so the reopened index
-    /// behaves identically to the never-closed one.
-    fn reopen(pool: Arc<BufferPool>, pi: &PersistedIndex) -> StorageResult<(Self, IndexSpec)> {
-        let pages = pi.pages.clone();
-        Ok(match pi.kind {
-            KIND_TRIE => (
-                PhysicalIndex::Trie(TrieIndex::open_with_ops(
-                    pool,
-                    TrieOps::with_config(pi.config),
-                    pi.meta_page,
-                    pages,
-                )?),
-                IndexSpec::Trie,
-            ),
-            KIND_SUFFIX => (
-                PhysicalIndex::Suffix(SuffixTreeIndex::open_with_ops(
-                    pool,
-                    TrieOps::with_config(pi.config),
-                    pi.meta_page,
-                    pages,
-                    pi.strings,
-                )?),
-                IndexSpec::SuffixTree,
-            ),
-            KIND_KDTREE => (
-                PhysicalIndex::KdTree(KdTreeIndex::open_with_ops(
-                    pool,
-                    KdTreeOps::with_config(pi.config),
-                    pi.meta_page,
-                    pages,
-                )?),
-                IndexSpec::KdTree,
-            ),
-            KIND_PQUADTREE => (
-                PhysicalIndex::Quadtree(PointQuadtreeIndex::open_with_ops(
-                    pool,
-                    PointQuadtreeOps::with_config(pi.config),
-                    pi.meta_page,
-                    pages,
-                )?),
-                IndexSpec::PointQuadtree,
-            ),
-            KIND_PMR => (
-                PhysicalIndex::Pmr(PmrQuadtreeIndex::open_with_ops(
-                    pool,
-                    PmrQuadtreeOps::with_config(pi.world, pi.config),
-                    pi.meta_page,
-                    pages,
-                )?),
-                IndexSpec::PmrQuadtree { world: pi.world },
-            ),
-            k => {
-                return Err(StorageError::Corrupt(format!(
-                    "catalog names unknown index kind {k}"
-                )))
-            }
-        })
-    }
-
-    /// Streaming scan through this index for `predicate`, yielding matching
-    /// row ids.  The planner only routes a predicate here when the index's
-    /// operator class supports it, so a type mismatch is a planning bug.
-    fn scan<'t>(
-        &'t self,
-        predicate: &Predicate,
-    ) -> StorageResult<Box<dyn Iterator<Item = StorageResult<RowId>> + 't>> {
-        fn rows<'t, K: 't>(
-            cursor: spgist_indexes::Cursor<'t, K>,
-        ) -> Box<dyn Iterator<Item = StorageResult<RowId>> + 't> {
-            Box::new(cursor.map(|item| item.map(|(_, row)| row)))
-        }
-        match (self, predicate) {
-            (PhysicalIndex::Trie(ix), Predicate::Str(q)) => Ok(rows(ix.cursor(q)?)),
-            (PhysicalIndex::Suffix(ix), Predicate::Str(q)) => Ok(rows(ix.cursor(q)?)),
-            (PhysicalIndex::KdTree(ix), Predicate::Point(q)) => Ok(rows(ix.cursor(q)?)),
-            (PhysicalIndex::Quadtree(ix), Predicate::Point(q)) => Ok(rows(ix.cursor(q)?)),
-            (PhysicalIndex::Pmr(ix), Predicate::Segment(q)) => Ok(rows(ix.cursor(q)?)),
-            _ => Err(StorageError::Unsupported(
-                "planner routed a predicate to an index of a different key type".into(),
-            )),
-        }
-    }
-
-    /// Ordered (distance) scan through this index for a `@@` predicate,
-    /// yielding row ids in non-decreasing distance from the anchor, driven
-    /// by the incremental NN search.  The planner only chooses an ordered
-    /// scan for classes registering `@@`, so an index without distance
-    /// support here is a planning bug.
-    fn ordered_scan<'t>(
-        &'t self,
-        predicate: &Predicate,
-    ) -> StorageResult<Box<dyn Iterator<Item = StorageResult<RowId>> + 't>> {
-        fn rows<'t, K: 't>(
-            cursor: Option<spgist_indexes::Cursor<'t, K>>,
-        ) -> StorageResult<Box<dyn Iterator<Item = StorageResult<RowId>> + 't>> {
-            match cursor {
-                Some(cursor) => Ok(Box::new(cursor.map(|item| item.map(|(_, row)| row)))),
-                None => Err(StorageError::Unsupported(
-                    "planner chose an ordered scan on an index without distance support".into(),
-                )),
-            }
-        }
-        match (self, predicate) {
-            (PhysicalIndex::Trie(ix), Predicate::Str(q)) => rows(ix.ordered_cursor(q)?),
-            (PhysicalIndex::Suffix(ix), Predicate::Str(q)) => rows(ix.ordered_cursor(q)?),
-            (PhysicalIndex::KdTree(ix), Predicate::Point(q)) => rows(ix.ordered_cursor(q)?),
-            (PhysicalIndex::Quadtree(ix), Predicate::Point(q)) => rows(ix.ordered_cursor(q)?),
-            (PhysicalIndex::Pmr(ix), Predicate::Segment(q)) => rows(ix.ordered_cursor(q)?),
-            _ => Err(StorageError::Unsupported(
-                "planner routed a predicate to an index of a different key type".into(),
-            )),
-        }
-    }
-}
-
 /// Memoized planner statistics with an invalidation epoch: a write that
 /// lands while a planner is mid-way through the slow `stats()` tree walk
 /// bumps the epoch, so the stale result is returned to that one planner but
@@ -945,12 +592,13 @@ struct StatsCache {
 struct NamedIndex {
     name: String,
     spec: IndexSpec,
-    index: PhysicalIndex,
+    index: Box<dyn TableIndex>,
     /// Memoized planner statistics `(pages, page_height)`.  Deriving them
-    /// from [`TreeStats`] walks the whole tree, so the result is cached
-    /// until the next write invalidates it — planning a query must not cost
-    /// more than running it.  A `Mutex` (not a `Cell`) so that concurrent
-    /// planners and writers share the memo safely.
+    /// from [`TreeStats`](spgist_core::TreeStats) walks the whole tree, so
+    /// the result is cached until the next write invalidates it — planning
+    /// a query must not cost more than running it.  A `Mutex` (not a
+    /// `Cell`) so that concurrent planners and writers share the memo
+    /// safely.
     cached_stats: Mutex<StatsCache>,
 }
 
@@ -1331,16 +979,6 @@ impl TableDirty {
             self.row_chunks.insert(row / ROWS_PER_CHUNK);
         }
     }
-
-    /// Records mutation of the row-directory slots `lo..hi` (half-open).
-    fn mark_rows(&mut self, lo: RowId, hi: RowId) {
-        self.mutated = true;
-        if !self.all_rows && lo < hi {
-            for chunk in (lo / ROWS_PER_CHUNK)..=((hi - 1) / ROWS_PER_CHUNK) {
-                self.row_chunks.insert(chunk);
-            }
-        }
-    }
 }
 
 /// The latched mutable state of a [`Table`]: the heap file, the row
@@ -1364,6 +1002,46 @@ struct TableInner {
     distinct_base: u64,
     /// Checkpoint dirty-tracking (see [`TableDirty`]).
     dirty: TableDirty,
+}
+
+impl TableInner {
+    /// Writes `record` to the heap and makes `row` live — appended at the
+    /// row-directory end, or refilling a dead slot (an undone delete).
+    /// With [`TableInner::remove`] this is the only write of a live row:
+    /// the row directory, `live_rows`, the distinct-key statistic and the
+    /// checkpoint's dirty set change together here.
+    fn place(&mut self, row: RowId, record: Vec<u8>) -> StorageResult<()> {
+        let slot = row as usize;
+        let append = slot == self.rows.len();
+        assert!(
+            append || self.rows.get(slot) == Some(&None),
+            "row {row} is neither the next row id nor a dead slot"
+        );
+        let rid = self.heap.insert(&record)?;
+        if append {
+            self.rows.push(Some(rid));
+        } else {
+            self.rows[slot] = Some(rid);
+        }
+        self.live_rows += 1;
+        self.distinct.insert(record);
+        self.dirty.mark_row(row);
+        Ok(())
+    }
+
+    /// Deletes live `row` from the heap and the row directory (its id slot
+    /// stays allocated, dead), returning its datum; `None` when the row is
+    /// not live.
+    fn remove(&mut self, row: RowId) -> StorageResult<Option<Datum>> {
+        let Some(rid) = self.rows.get_mut(row as usize).and_then(Option::take) else {
+            return Ok(None);
+        };
+        let datum = Datum::decode_record(&self.heap.get(rid)?)?;
+        self.heap.delete(rid)?;
+        self.live_rows -= 1;
+        self.dirty.mark_row(row);
+        Ok(Some(datum))
+    }
 }
 
 /// A heap-backed table with one typed key column and any number of physical
@@ -1436,7 +1114,7 @@ impl Table {
         let heap = HeapFile::open(Arc::clone(&pool), pt.heap_pages.clone(), pt.heap_records)?;
         let mut indexes = Vec::with_capacity(pt.indexes.len());
         for pi in &pt.indexes {
-            let (index, spec) = PhysicalIndex::reopen(Arc::clone(&pool), pi)?;
+            let (index, spec) = IndexSpec::reopen(Arc::clone(&pool), pi)?;
             if spec.key_type() != key_type {
                 return Err(StorageError::Corrupt(format!(
                     "catalog index {:?} ({}) does not match table {:?} of type {}",
@@ -1566,7 +1244,7 @@ impl Table {
             indexes: self
                 .indexes
                 .iter()
-                .map(|named| named.index.persisted(&named.name))
+                .map(|named| named.index.persisted(&named.name, &named.spec))
                 .collect(),
         })
     }
@@ -1600,70 +1278,15 @@ impl Table {
         self.len() == 0
     }
 
-    /// Inserts a key value, returning its row id.  The value is appended to
-    /// the heap under the table latch, which is released before the value is
-    /// inserted into the registered indexes (each crabs its own per-page
-    /// latches internally).  The whole statement runs under the table's DML
-    /// lock so a concurrent delete of the just-inserted row cannot
-    /// interleave between the heap append and the index updates.
+    /// Inserts a key value, returning its row id — a one-row
+    /// [`Table::insert_many`].  The value is appended to the heap under the
+    /// table latch, which is released before the value is inserted into the
+    /// registered indexes (each crabs its own per-page latches internally).
+    /// The whole statement runs under the table's DML lock so a concurrent
+    /// delete of the just-inserted row cannot interleave between the heap
+    /// append and the index updates.
     pub fn insert(&self, datum: impl Into<Datum>) -> StorageResult<RowId> {
-        let (row, lsn) = self.insert_logged(datum.into(), AUTOCOMMIT)?;
-        if let (Some(wal), Some(lsn)) = (&self.wal, lsn) {
-            wal.wait_durable(lsn)?;
-        }
-        Ok(row)
-    }
-
-    /// The apply-and-log half of an insert: executes the statement under the
-    /// DML lock and submits its redo record tagged with `txn`, but does
-    /// **not** wait for durability.  Auto-commit ([`Table::insert`]) waits on
-    /// the returned LSN before acknowledging; a [`Transaction`] statement
-    /// skips the wait entirely — its commit point is the `CommitTxn` record.
-    pub(crate) fn insert_logged(
-        &self,
-        datum: Datum,
-        txn: TxnId,
-    ) -> StorageResult<(RowId, Option<Lsn>)> {
-        if datum.key_type() != self.key_type {
-            return Err(StorageError::Unsupported(format!(
-                "cannot insert a {} value into table {:?} of type {}",
-                datum.key_type().name(),
-                self.name,
-                self.key_type.name()
-            )));
-        }
-        let record = datum.encode_record();
-        let wal_datum = self.wal.as_ref().map(|_| record.clone());
-        let dml = self.dml.lock();
-        let row = {
-            let mut inner = self.inner.write();
-            let rid = inner.heap.insert(&record)?;
-            let row = inner.rows.len() as RowId;
-            inner.rows.push(Some(rid));
-            inner.live_rows += 1;
-            inner.distinct.insert(record);
-            inner.dirty.mark_row(row);
-            row
-        };
-        for named in &self.indexes {
-            named.index.insert(&datum, row)?;
-            named.invalidate_stats();
-        }
-        // Submit the redo record *inside* the DML lock (a checkpoint's log
-        // cut must see statement-and-record as one unit), wait for the
-        // fsync *outside* it (so concurrent writers' waits overlap and
-        // group commit can batch them).
-        let lsn = match &self.wal {
-            Some(wal) => Some(wal.submit(&WalRecord::Insert {
-                table: self.name.clone(),
-                row,
-                datum: wal_datum.expect("cloned when the wal is attached"),
-                txn,
-            })?),
-            None => None,
-        };
-        drop(dml);
-        Ok((row, lsn))
+        Ok(self.insert_many([datum.into()])?[0])
     }
 
     /// Inserts a batch of key values as **one DML statement**, returning the
@@ -1672,10 +1295,12 @@ impl Table {
     /// Unlike a loop of [`Table::insert`] calls, the whole batch takes the
     /// table's DML lock once, appends every value to the heap under one
     /// table-latch acquisition, and then hands each physical index the
-    /// whole batch in one call ([`SpIndex::insert_batch`]) — one statement
-    /// with respect to other DML, and one WAL record instead of many.  A
-    /// concurrent *cursor* (which takes no lock) may observe part of the
-    /// batch mid-flight; it never observes a dangling index entry.
+    /// whole batch in one call
+    /// ([`SpIndex::insert_batch`](spgist_indexes::SpIndex::insert_batch)) —
+    /// one statement with respect to other DML, and one WAL record instead
+    /// of many.  A concurrent *cursor* (which takes no lock) may observe
+    /// part of the batch mid-flight; it never observes a dangling index
+    /// entry.
     pub fn insert_many<I>(&self, data: I) -> StorageResult<Vec<RowId>>
     where
         I: IntoIterator,
@@ -1689,8 +1314,12 @@ impl Table {
         Ok(rows)
     }
 
-    /// The apply-and-log half of [`Table::insert_many`] (see
-    /// [`Table::insert_logged`] for the auto-commit/transaction split).
+    /// The apply-and-log half of an insert statement: executes it under the
+    /// DML lock and submits its redo record tagged with `txn`, but does
+    /// **not** wait for durability.  Auto-commit ([`Table::insert_many`])
+    /// waits on the returned LSN before acknowledging; a [`Transaction`]
+    /// statement skips the wait entirely — its commit point is the
+    /// `CommitTxn` record.
     pub(crate) fn insert_many_logged(
         &self,
         data: Vec<Datum>,
@@ -1707,46 +1336,37 @@ impl Table {
         if data.is_empty() {
             return Ok((Vec::new(), None));
         }
+        let records: Vec<Vec<u8>> = data.iter().map(Datum::encode_record).collect();
         let dml = self.dml.lock();
-        let mut wal_datums: Vec<Vec<u8>> = Vec::new();
-        let items: Vec<(Datum, RowId)> = {
-            let mut inner = self.inner.write();
-            let mut items = Vec::with_capacity(data.len());
-            for datum in data {
-                let record = datum.encode_record();
-                let rid = inner.heap.insert(&record)?;
-                let row = inner.rows.len() as RowId;
-                inner.rows.push(Some(rid));
-                inner.live_rows += 1;
-                if self.wal.is_some() {
-                    wal_datums.push(record.clone());
-                }
-                inner.distinct.insert(record);
-                items.push((datum, row));
-            }
-            if let (Some(first), Some(last)) = (items.first(), items.last()) {
-                inner.dirty.mark_rows(first.1, last.1 + 1);
-            }
-            items
-        };
-        for named in &self.indexes {
-            named.index.insert_batch(&items)?;
-            named.invalidate_stats();
-        }
-        // One redo record for the whole batch: recovery reproduces its
-        // all-or-nothing visibility.  Submit under the DML lock, wait
-        // outside it (see `insert`).
-        let lsn = match &self.wal {
-            Some(wal) => Some(wal.submit(&WalRecord::InsertMany {
-                table: self.name.clone(),
-                first_row: items[0].1,
-                datums: wal_datums,
-                txn,
-            })?),
-            None => None,
-        };
+        let first = self.inner.read().rows.len() as RowId;
+        let rows: Vec<RowId> = (first..first + data.len() as RowId).collect();
+        // One redo record per statement, so recovery reproduces a batch's
+        // all-or-nothing visibility; a single row keeps the `Insert` form.
+        let redo = self.wal.as_ref().map(|wal| {
+            let record = match records.as_slice() {
+                [datum] => WalRecord::Insert {
+                    table: self.name.clone(),
+                    row: first,
+                    datum: datum.clone(),
+                    txn,
+                },
+                _ => WalRecord::InsertMany {
+                    table: self.name.clone(),
+                    first_row: first,
+                    datums: records.clone(),
+                    txn,
+                },
+            };
+            (wal, record)
+        });
+        self.place_and_index(first, data, records)?;
+        // Submit the redo record *inside* the DML lock (a checkpoint's log
+        // cut must see statement-and-record as one unit), wait for the
+        // fsync *outside* it (so concurrent writers' waits overlap and
+        // group commit can batch them).
+        let lsn = redo.map(|(wal, record)| wal.submit(&record)).transpose()?;
         drop(dml);
-        Ok((items.into_iter().map(|(_, row)| row).collect(), lsn))
+        Ok((rows, lsn))
     }
 
     /// Deletes the row, removing it from the heap and every index; returns
@@ -1764,7 +1384,7 @@ impl Table {
     }
 
     /// The apply-and-log half of [`Table::delete`] (see
-    /// [`Table::insert_logged`] for the auto-commit/transaction split).
+    /// [`Table::insert_many_logged`] for the auto-commit/transaction split).
     /// Returns the deleted datum — the information a transaction needs to
     /// undo the delete on abort — or `None` if the row did not exist.
     pub(crate) fn delete_logged(
@@ -1773,25 +1393,11 @@ impl Table {
         txn: TxnId,
     ) -> StorageResult<(Option<Datum>, Option<Lsn>)> {
         let dml = self.dml.lock();
-        let datum = {
-            let mut inner = self.inner.write();
-            let Some(slot) = inner.rows.get_mut(row as usize) else {
-                return Ok((None, None));
-            };
-            let Some(rid) = slot.take() else {
-                return Ok((None, None));
-            };
-            let datum = Datum::decode_record(&inner.heap.get(rid)?)?;
-            inner.heap.delete(rid)?;
-            inner.live_rows -= 1;
-            inner.dirty.mark_row(row);
-            datum
+        let Some(datum) = self.remove_and_unindex(row)? else {
+            return Ok((None, None));
         };
-        for named in &self.indexes {
-            named.index.delete(&datum, row)?;
-            named.invalidate_stats();
-        }
-        // Submit under the DML lock, wait outside it (see `insert`).
+        // Submit under the DML lock, wait outside it (see
+        // `insert_many_logged`).
         let lsn = match &self.wal {
             Some(wal) => Some(wal.submit(&WalRecord::Delete {
                 table: self.name.clone(),
@@ -1804,94 +1410,34 @@ impl Table {
         Ok((Some(datum), lsn))
     }
 
-    /// Re-executes a logged `INSERT` during recovery.  Row ids are assigned
-    /// deterministically (`rows.len()`), which makes replay **idempotent
-    /// and checkable**: a record whose row id is already past the row
-    /// directory's end was not yet applied and replays exactly where the
-    /// original landed; one below it is already reflected in the
-    /// checkpoint image and is skipped; a gap means the log and the
-    /// checkpoint disagree and recovery must stop rather than guess.
-    pub(crate) fn replay_insert(&self, row: RowId, record: &[u8]) -> StorageResult<()> {
-        let datum = Datum::decode_record(record)?;
-        let _dml = self.dml.lock();
-        let applied = {
-            let mut inner = self.inner.write();
-            let next = inner.rows.len() as RowId;
-            if next > row {
-                false
-            } else if next < row {
-                return Err(StorageError::Corrupt(format!(
-                    "WAL replay gap on table {:?}: next row is {next} but the log says {row}",
-                    self.name
-                )));
-            } else {
-                let rid = inner.heap.insert(record)?;
-                inner.rows.push(Some(rid));
-                inner.live_rows += 1;
-                inner.distinct.insert(record.to_vec());
-                inner.dirty.mark_row(row);
-                true
-            }
-        };
-        if applied {
-            for named in &self.indexes {
-                named.index.insert(&datum, row)?;
-                named.invalidate_stats();
-            }
-        }
-        Ok(())
-    }
-
-    /// Re-executes a logged `insert_many` batch during recovery.  The batch
-    /// was applied (and, if checkpointed, snapshotted) atomically under the
-    /// DML lock, so it is either wholly in the checkpoint image or wholly
-    /// missing — anything in between is corruption.
-    pub(crate) fn replay_insert_many(
-        &self,
-        first_row: RowId,
-        records: &[Vec<u8>],
-    ) -> StorageResult<()> {
-        if records.is_empty() {
-            return Ok(());
-        }
+    /// Re-executes a logged insert statement — `records` at rows
+    /// `first_row..` — during recovery.  Row ids are assigned
+    /// deterministically (the row-directory end) and a statement applies
+    /// atomically under the DML lock, which makes replay **idempotent and
+    /// checkable**: a statement wholly below the row-directory end is
+    /// already in the checkpoint image and is skipped; one starting exactly
+    /// at the end replays where the original landed; anything else means
+    /// the log and the checkpoint disagree and recovery must stop rather
+    /// than guess.
+    pub(crate) fn replay_insert(&self, first_row: RowId, records: &[Vec<u8>]) -> StorageResult<()> {
         let datums = records
             .iter()
             .map(|r| Datum::decode_record(r))
             .collect::<StorageResult<Vec<_>>>()?;
         let _dml = self.dml.lock();
-        let items: Vec<(Datum, RowId)> = {
-            let mut inner = self.inner.write();
-            let next = inner.rows.len() as RowId;
-            let end = first_row + records.len() as RowId;
-            if next >= end {
-                return Ok(()); // wholly inside the checkpoint image
-            }
-            if next != first_row {
-                return Err(StorageError::Corrupt(format!(
-                    "WAL replay gap on table {:?}: next row is {next} but the batch \
-                     covers rows {first_row}..{end}",
-                    self.name
-                )));
-            }
-            let mut items = Vec::with_capacity(records.len());
-            for (record, datum) in records.iter().zip(datums) {
-                let rid = inner.heap.insert(record)?;
-                let row = inner.rows.len() as RowId;
-                inner.rows.push(Some(rid));
-                inner.live_rows += 1;
-                inner.distinct.insert(record.clone());
-                items.push((datum, row));
-            }
-            if let (Some(first), Some(last)) = (items.first(), items.last()) {
-                inner.dirty.mark_rows(first.1, last.1 + 1);
-            }
-            items
-        };
-        for named in &self.indexes {
-            named.index.insert_batch(&items)?;
-            named.invalidate_stats();
+        let next = self.inner.read().rows.len() as RowId;
+        let end = first_row + records.len() as RowId;
+        if next >= end {
+            return Ok(()); // wholly inside the checkpoint image
         }
-        Ok(())
+        if next != first_row {
+            return Err(StorageError::Corrupt(format!(
+                "WAL replay gap on table {:?}: next row is {next} but the log \
+                 covers rows {first_row}..{end}",
+                self.name
+            )));
+        }
+        self.place_and_index(first_row, datums, records.to_vec())
     }
 
     /// Rolls back one of a transaction's inserts: removes `row` from the
@@ -1899,60 +1445,64 @@ impl Table {
     /// needed — if the process dies mid-abort, recovery reaches the same
     /// state by dropping the loser transaction's records.  The row-id slot
     /// stays allocated as a tombstone, so ids handed to later statements are
-    /// unaffected (exactly the state recovery's loser-drop reproduces).
+    /// unaffected (exactly the state recovery's loser-drop reproduces).  A
+    /// row already gone was deleted by a concurrent statement (statements
+    /// are not isolated) and is left alone.
     pub(crate) fn undo_insert(&self, row: RowId) -> StorageResult<()> {
         let _dml = self.dml.lock();
-        let datum = {
-            let mut inner = self.inner.write();
-            let Some(slot) = inner.rows.get_mut(row as usize) else {
-                return Ok(());
-            };
-            let Some(rid) = slot.take() else {
-                // Already gone: a concurrent statement deleted the
-                // uncommitted row (statements are not isolated).
-                return Ok(());
-            };
-            let datum = Datum::decode_record(&inner.heap.get(rid)?)?;
-            inner.heap.delete(rid)?;
-            inner.live_rows -= 1;
-            inner.dirty.mark_row(row);
-            datum
-        };
-        for named in &self.indexes {
-            named.index.delete(&datum, row)?;
-            named.invalidate_stats();
-        }
-        Ok(())
+        self.remove_and_unindex(row).map(|_| ())
     }
 
     /// Rolls back one of a transaction's deletes: re-inserts the remembered
     /// `datum` at its original row id, unlogged (see [`Table::undo_insert`]).
     pub(crate) fn undo_delete(&self, row: RowId, datum: &Datum) -> StorageResult<()> {
-        let record = datum.encode_record();
         let _dml = self.dml.lock();
-        let reinserted = {
+        if !matches!(self.inner.read().rows.get(row as usize), Some(None)) {
+            // Live again or never allocated: another statement got there
+            // first (statements are not isolated); leave it.
+            return Ok(());
+        }
+        self.place_and_index(row, vec![datum.clone()], vec![datum.encode_record()])
+    }
+
+    /// Places `records` at rows `first..` ([`TableInner::place`]), then
+    /// inserts the matching decoded `datums` into every index — the one
+    /// write shared by insert, replay and undo.  The caller holds the DML
+    /// lock.  The table latch is released before the indexes are touched,
+    /// so a concurrent query sees either nothing (not yet indexed) or a
+    /// fully fetchable row, never a dangling index entry.
+    fn place_and_index(
+        &self,
+        first: RowId,
+        datums: Vec<Datum>,
+        records: Vec<Vec<u8>>,
+    ) -> StorageResult<()> {
+        {
             let mut inner = self.inner.write();
-            match inner.rows.get(row as usize) {
-                Some(None) => {
-                    let rid = inner.heap.insert(&record)?;
-                    inner.rows[row as usize] = Some(rid);
-                    inner.live_rows += 1;
-                    inner.distinct.insert(record);
-                    inner.dirty.mark_row(row);
-                    true
-                }
-                // Live again or never allocated: another statement got
-                // there first (statements are not isolated); leave it.
-                _ => false,
+            for (row, record) in (first..).zip(records) {
+                inner.place(row, record)?;
             }
-        };
-        if reinserted {
+        }
+        let items: Vec<(Datum, RowId)> = datums.into_iter().zip(first..).collect();
+        for named in &self.indexes {
+            named.index.insert_batch(&items)?;
+            named.invalidate_stats();
+        }
+        Ok(())
+    }
+
+    /// Removes live `row` ([`TableInner::remove`]), then its entry in every
+    /// index; returns the removed datum, or `None` — touching nothing — when
+    /// the row is not live.  The caller holds the DML lock.
+    fn remove_and_unindex(&self, row: RowId) -> StorageResult<Option<Datum>> {
+        let removed = self.inner.write().remove(row)?;
+        if let Some(datum) = &removed {
             for named in &self.indexes {
-                named.index.insert(datum, row)?;
+                named.index.delete(datum, row)?;
                 named.invalidate_stats();
             }
         }
-        Ok(())
+        Ok(removed)
     }
 
     /// Replays a loser transaction's logged insert of `count` rows starting
@@ -1972,9 +1522,9 @@ impl Table {
                 self.name
             )));
         }
-        inner.dirty.mark_rows(next.max(row), end);
-        for _ in next.max(row)..end {
+        for dead in next.max(row)..end {
             inner.rows.push(None);
+            inner.dirty.mark_row(dead);
         }
         Ok(())
     }
@@ -2009,12 +1559,13 @@ impl Table {
     /// rows (`CREATE INDEX`).  DDL: requires exclusive access to the table.
     ///
     /// On an already-populated table the build routes through one heap scan
-    /// and [`SpIndex::bulk_build`] — the paper's `spgistbuild` pipeline —
-    /// instead of N planner-visible inserts: every tree node is partitioned
-    /// top-down and written exactly once.  The same scan seeds the planner's
-    /// statistics with the **exact** live distinct-key count, replacing
-    /// whatever session-local approximation had accumulated (first step on
-    /// the planner-statistics roadmap item).
+    /// and [`SpIndex::bulk_build`](spgist_indexes::SpIndex::bulk_build) —
+    /// the paper's `spgistbuild` pipeline — instead of N planner-visible
+    /// inserts: every tree node is partitioned top-down and written exactly
+    /// once.  The same scan seeds the planner's statistics with the
+    /// **exact** live distinct-key count, replacing whatever session-local
+    /// approximation had accumulated (first step on the planner-statistics
+    /// roadmap item).
     pub fn create_index(&mut self, name: &str, spec: IndexSpec) -> StorageResult<()> {
         if spec.key_type() != self.key_type {
             return Err(StorageError::Unsupported(format!(
@@ -2030,16 +1581,7 @@ impl Table {
                 self.name
             )));
         }
-        let pool = Arc::clone(&self.pool);
-        let index = match spec {
-            IndexSpec::Trie => PhysicalIndex::Trie(TrieIndex::create(pool)?),
-            IndexSpec::SuffixTree => PhysicalIndex::Suffix(SuffixTreeIndex::create(pool)?),
-            IndexSpec::KdTree => PhysicalIndex::KdTree(KdTreeIndex::create(pool)?),
-            IndexSpec::PointQuadtree => PhysicalIndex::Quadtree(PointQuadtreeIndex::create(pool)?),
-            IndexSpec::PmrQuadtree { world } => {
-                PhysicalIndex::Pmr(PmrQuadtreeIndex::create(pool, world)?)
-            }
-        };
+        let index = spec.create(Arc::clone(&self.pool))?;
         let row_count = self.inner.read().rows.len() as RowId;
         let mut items: Vec<(Datum, RowId)> = Vec::new();
         for row in 0..row_count {
@@ -2123,7 +1665,8 @@ impl Table {
     }
 
     /// The planner's view of the physical indexes, derived automatically
-    /// from each index's measured [`TreeStats`] (memoized between writes).
+    /// from each index's measured [`TreeStats`](spgist_core::TreeStats)
+    /// (memoized between writes).
     pub fn available_indexes(&self) -> StorageResult<Vec<AvailableIndex>> {
         self.indexes
             .iter()
@@ -3097,18 +2640,9 @@ impl Database {
         path: P,
         config: BufferPoolConfig,
     ) -> StorageResult<Self> {
-        Self::open_with_wal_config(path, config, WalConfig::default())
-    }
-
-    /// [`Database::open_with_config`] with an explicit WAL configuration.
-    pub fn open_with_wal_config<P: AsRef<Path>>(
-        path: P,
-        config: BufferPoolConfig,
-        wal_config: WalConfig,
-    ) -> StorageResult<Self> {
         let path = path.as_ref();
         let pager = Arc::new(FilePager::open(path)?);
-        Self::open_with_pager(pager, wal_prefix(path), config, wal_config)
+        Self::open_with_pager(pager, wal_prefix(path), config, WalConfig::default())
     }
 
     /// Opens a durable database over an arbitrary pager (the
@@ -3219,7 +2753,7 @@ impl Database {
             } => {
                 let t = self.tables.get(&table).ok_or_else(|| missing(&table))?;
                 if committed(txn) {
-                    t.replay_insert(row, &datum)
+                    t.replay_insert(row, std::slice::from_ref(&datum))
                 } else {
                     t.replay_loser_insert(row, 1)
                 }
@@ -3232,7 +2766,7 @@ impl Database {
             } => {
                 let t = self.tables.get(&table).ok_or_else(|| missing(&table))?;
                 if committed(txn) {
-                    t.replay_insert_many(first_row, &datums)
+                    t.replay_insert(first_row, &datums)
                 } else {
                     t.replay_loser_insert(first_row, datums.len() as u64)
                 }
@@ -3788,9 +3322,8 @@ impl std::fmt::Debug for Database {
 /// recovery reaches the same end state by dropping the loser transaction's
 /// redo records, so compensation records would be redundant.
 enum UndoOp {
-    /// Undo an insert: remove the row again (its id slot stays allocated).
-    Insert { table: Arc<Table>, row: RowId },
-    /// Undo an `insert_many` batch: remove rows `first_row..first_row+count`.
+    /// Undo an insert statement (one row is a one-row batch): remove rows
+    /// `first_row..first_row+count` again (their id slots stay allocated).
     InsertMany {
         table: Arc<Table>,
         first_row: RowId,
@@ -3868,11 +3401,7 @@ impl<'db> Transaction<'db> {
     /// assigned immediately but the insert is not durable (and not
     /// acknowledged) until [`Transaction::commit`].
     pub fn insert(&mut self, table: &str, datum: impl Into<Datum>) -> StorageResult<RowId> {
-        let t = self.table(table)?;
-        self.ensure_begun()?;
-        let (row, _lsn) = t.insert_logged(datum.into(), self.id)?;
-        self.undo.push(UndoOp::Insert { table: t, row });
-        Ok(row)
+        Ok(self.insert_many(table, [datum.into()])?[0])
     }
 
     /// Inserts a batch into `table` as one statement (one redo record)
@@ -3949,7 +3478,6 @@ impl<'db> Transaction<'db> {
         let mut first_err = None;
         while let Some(op) = self.undo.pop() {
             let result = match &op {
-                UndoOp::Insert { table, row } => table.undo_insert(*row),
                 UndoOp::InsertMany {
                     table,
                     first_row,
@@ -4681,5 +4209,98 @@ mod tests {
             assert_eq!(t.insert("next").unwrap(), 5);
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A `VARCHAR` table with a trie and a suffix tree, both kept by DML.
+    fn two_index_table() -> Table {
+        let mut table = Table::create("words", KeyType::Varchar, BufferPool::in_memory()).unwrap();
+        table.create_index("trie", IndexSpec::Trie).unwrap();
+        table.create_index("suffix", IndexSpec::SuffixTree).unwrap();
+        table
+    }
+
+    /// The rows equal to `word` through each index of `table`, in index
+    /// order.
+    fn rows_via_each_index(table: &Table, word: &str) -> Vec<Vec<RowId>> {
+        table
+            .indexes
+            .iter()
+            .map(|named| {
+                let mut rows = named
+                    .index
+                    .scan(&Predicate::str_equals(word))
+                    .unwrap()
+                    .collect::<StorageResult<Vec<_>>>()
+                    .unwrap();
+                rows.sort_unstable();
+                rows
+            })
+            .collect()
+    }
+
+    #[test]
+    fn replay_insert_skips_applies_or_rejects_by_row_position() {
+        for batch in [1usize, 3] {
+            let table = two_index_table();
+            let records = |tag: &str| -> Vec<Vec<u8>> {
+                (0..batch)
+                    .map(|i| Datum::from(format!("{tag}{i}")).encode_record())
+                    .collect()
+            };
+            // Rows 0..batch stand in for the checkpoint image.
+            table
+                .insert_many((0..batch).map(|i| format!("image{i}")))
+                .unwrap();
+            let end = batch as RowId;
+
+            // Already in the image: a no-op.
+            table.replay_insert(0, &records("stale")).unwrap();
+            assert_eq!(table.len(), end, "batch {batch}");
+            assert_eq!(table.datum(0).unwrap(), Datum::from("image0"));
+            assert_eq!(rows_via_each_index(&table, "stale0"), vec![vec![]; 2]);
+
+            // Starting exactly at the row-directory end: applied, and
+            // visible through every index.
+            table.replay_insert(end, &records("fresh")).unwrap();
+            assert_eq!(table.len(), 2 * end, "batch {batch}");
+            for i in 0..batch {
+                let row = end + i as RowId;
+                let word = format!("fresh{i}");
+                assert_eq!(table.datum(row).unwrap(), Datum::from(word.as_str()));
+                assert_eq!(rows_via_each_index(&table, &word), vec![vec![row]; 2]);
+            }
+
+            // A gap past the end: corruption naming the table, nothing
+            // applied.
+            match table.replay_insert(2 * end + 1, &records("gap")) {
+                Err(StorageError::Corrupt(msg)) => {
+                    assert!(msg.contains("gap") && msg.contains("\"words\""), "{msg}")
+                }
+                other => panic!("batch {batch}: expected Corrupt, got {other:?}"),
+            }
+            assert_eq!(table.len(), 2 * end, "batch {batch}");
+            assert_eq!(rows_via_each_index(&table, "gap0"), vec![vec![]; 2]);
+        }
+    }
+
+    #[test]
+    fn undo_delete_leaves_a_live_slot_untouched() {
+        let table = two_index_table();
+        let row = table.insert("orig").unwrap();
+        let (deleted, _) = table.delete_logged(row, AUTOCOMMIT).unwrap();
+        table.undo_delete(row, &deleted.unwrap()).unwrap();
+        let heap_records = table.inner.read().heap.record_count();
+
+        // The slot is live again: a second undo for it must not overwrite
+        // the row, add a heap record or index the other value.
+        table.undo_delete(row, &Datum::from("other")).unwrap();
+        // Never allocated: nothing to restore either.
+        table.undo_delete(row + 1, &Datum::from("other")).unwrap();
+
+        assert_eq!(table.datum(row).unwrap(), Datum::from("orig"));
+        assert_eq!(table.len(), 1);
+        assert_eq!(table.inner.read().heap.record_count(), heap_records);
+        assert_eq!(rows_via_each_index(&table, "orig"), vec![vec![row]; 2]);
+        assert_eq!(rows_via_each_index(&table, "other"), vec![vec![]; 2]);
     }
 }

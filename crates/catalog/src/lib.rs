@@ -26,6 +26,7 @@ pub mod am;
 pub mod cost;
 pub mod durable;
 pub mod exec;
+mod index;
 pub mod operator;
 pub mod planner;
 

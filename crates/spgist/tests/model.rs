@@ -742,11 +742,7 @@ fn model_differential_seed_b() {
 /// its bookkeeping under churn diverges from the model immediately.
 #[test]
 fn model_differential_tiny_pool_every_policy() {
-    for policy in [
-        ReplacementPolicyKind::Lru,
-        ReplacementPolicyKind::Clock,
-        ReplacementPolicyKind::Sieve,
-    ] {
+    for policy in [ReplacementPolicyKind::Lru, ReplacementPolicyKind::Sieve] {
         run_seed_with(
             0x8F4A3E5,
             2 * OPS_PER_EPOCH + OPS_PER_EPOCH / 2,

@@ -3,7 +3,7 @@
 //! Every access method in the workspace reads and writes pages through a
 //! [`BufferPool`].  The pool keeps a bounded number of frames in memory,
 //! chooses eviction victims through a pluggable [`ReplacementPolicy`]
-//! (LRU, Clock, or SIEVE — see [`crate::replacement`]), and writes dirty
+//! (LRU or SIEVE — see [`crate::replacement`]), and writes dirty
 //! frames back to the [`Pager`] on eviction or on [`BufferPool::flush_all`].
 //! Victim selection is O(1) per miss; scan-shaped callers pass
 //! [`AccessHint::Scan`] so one-touch pages cannot flush the hot working set.
@@ -987,11 +987,7 @@ mod tests {
         // A pool holding a hot working set, then a long scan of cold pages:
         // with Scan hints the hot pages must survive under every
         // scan-resistant policy.
-        for policy in [
-            ReplacementPolicyKind::Lru,
-            ReplacementPolicyKind::Clock,
-            ReplacementPolicyKind::Sieve,
-        ] {
+        for policy in [ReplacementPolicyKind::Lru, ReplacementPolicyKind::Sieve] {
             let pool = pool_with_policy(8, policy);
             let hot: Vec<_> = (0..4).map(|_| pool.allocate_page().unwrap()).collect();
             let cold: Vec<_> = (0..32).map(|_| pool.allocate_page().unwrap()).collect();
@@ -1041,7 +1037,6 @@ mod tests {
         // from the hint-oblivious baseline.
         let expect = [
             (ReplacementPolicyKind::Lru, 16, 14),
-            (ReplacementPolicyKind::Clock, 16, 13),
             (ReplacementPolicyKind::Sieve, 16, 13),
             (ReplacementPolicyKind::LruScan, 16, 16),
         ];

@@ -9,7 +9,7 @@
 //! * [`pager`] — page allocation and retrieval ([`pager::FilePager`] backed by a
 //!   file, [`pager::MemPager`] for tests and fast experiments),
 //! * [`buffer`] — a buffer pool with pin/unpin semantics, pluggable O(1)
-//!   replacement ([`replacement`]: LRU, Clock, SIEVE) and I/O accounting
+//!   replacement ([`replacement`]: LRU, SIEVE) and I/O accounting
 //!   ([`buffer::IoStats`]),
 //! * [`heap`] — a heap file (PostgreSQL "heap access" / sequential scan),
 //! * [`codec`] — a tiny length-prefixed binary codec used by every access

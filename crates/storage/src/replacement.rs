@@ -9,17 +9,13 @@
 //! [`ReplacementPolicyKind`] in `BufferPoolConfig`, and every policy decides
 //! victims in amortized O(1).
 //!
-//! Three production policies plus one measured baseline:
+//! Two production policies plus one measured baseline:
 //!
 //! * [`LruList`] — classic LRU over an intrusive doubly-linked list: O(1)
 //!   touch (unlink + relink at head) and O(1) evict (pop tail).  Scan-hinted
 //!   pages enter an *old region* at the tail side (midpoint insertion): a
 //!   one-touch page is the preferred victim, a re-referenced page is promoted
 //!   into the young region.
-//! * [`ClockRing`] — second-chance ring.  A hand sweeps the ring clearing
-//!   reference bits; a page is evicted when the hand finds its bit clear.
-//!   Scan-hinted pages are inserted *at the hand* with the bit clear, so
-//!   they are the next victim candidate unless re-referenced.
 //! * [`SieveHand`] — SIEVE (NSDI'24): a FIFO queue with a `visited` bit and
 //!   a hand that moves from tail to head, evicting the first unvisited page
 //!   and *lazily* clearing bits as it passes.  Pages are never moved on hit,
@@ -67,8 +63,6 @@ pub enum AccessHint {
 pub enum ReplacementPolicyKind {
     /// Intrusive-list LRU with midpoint (old-region) scan insertion.
     Lru,
-    /// Second-chance clock ring.
-    Clock,
     /// SIEVE: FIFO with lazy promotion — the scan-resistant default.
     #[default]
     Sieve,
@@ -79,9 +73,8 @@ pub enum ReplacementPolicyKind {
 
 impl ReplacementPolicyKind {
     /// Every selectable policy, in display order.
-    pub const ALL: [ReplacementPolicyKind; 4] = [
+    pub const ALL: [ReplacementPolicyKind; 3] = [
         ReplacementPolicyKind::Lru,
-        ReplacementPolicyKind::Clock,
         ReplacementPolicyKind::Sieve,
         ReplacementPolicyKind::LruScan,
     ];
@@ -90,7 +83,6 @@ impl ReplacementPolicyKind {
     pub fn name(self) -> &'static str {
         match self {
             ReplacementPolicyKind::Lru => "lru",
-            ReplacementPolicyKind::Clock => "clock",
             ReplacementPolicyKind::Sieve => "sieve",
             ReplacementPolicyKind::LruScan => "lru-scan",
         }
@@ -105,7 +97,6 @@ impl ReplacementPolicyKind {
     pub fn build(self) -> Box<dyn ReplacementPolicy + Send> {
         match self {
             ReplacementPolicyKind::Lru => Box::new(LruList::new()),
-            ReplacementPolicyKind::Clock => Box::new(ClockRing::new()),
             ReplacementPolicyKind::Sieve => Box::new(SieveHand::new()),
             ReplacementPolicyKind::LruScan => Box::new(LruScan::new()),
         }
@@ -341,151 +332,6 @@ impl ReplacementPolicy for LruList {
 }
 
 // ---------------------------------------------------------------------------
-// Clock: second-chance ring
-// ---------------------------------------------------------------------------
-
-/// O(1) amortized second-chance clock.  The hand advances along `next`;
-/// every touched frame gets one more sweep before eviction.  Normal
-/// insertions land just behind the hand (a full sweep of grace) with their
-/// reference bit set; scan insertions land *at* the hand with the bit clear,
-/// making them the next victim candidate.
-pub struct ClockRing {
-    prev: Vec<usize>,
-    next: Vec<usize>,
-    referenced: Vec<bool>,
-    tracked: Vec<bool>,
-    hand: usize,
-    len: usize,
-}
-
-impl ClockRing {
-    /// An empty ring.
-    pub fn new() -> Self {
-        ClockRing {
-            prev: Vec::new(),
-            next: Vec::new(),
-            referenced: Vec::new(),
-            tracked: Vec::new(),
-            hand: NIL,
-            len: 0,
-        }
-    }
-
-    fn grow(&mut self, slot: usize) {
-        ensure_slot(&mut self.prev, slot, NIL);
-        ensure_slot(&mut self.next, slot, NIL);
-        ensure_slot(&mut self.referenced, slot, false);
-        ensure_slot(&mut self.tracked, slot, false);
-    }
-
-    /// Links `slot` into the ring immediately before the hand in sweep
-    /// order (the hand reaches it only after a full revolution).
-    fn link_before_hand(&mut self, slot: usize) {
-        if self.hand == NIL {
-            self.prev[slot] = slot;
-            self.next[slot] = slot;
-            self.hand = slot;
-        } else {
-            let p = self.prev[self.hand];
-            self.next[p] = slot;
-            self.prev[slot] = p;
-            self.next[slot] = self.hand;
-            self.prev[self.hand] = slot;
-        }
-    }
-
-    fn unlink(&mut self, slot: usize) {
-        if self.next[slot] == slot {
-            self.hand = NIL;
-        } else {
-            let (p, n) = (self.prev[slot], self.next[slot]);
-            self.next[p] = n;
-            self.prev[n] = p;
-            if self.hand == slot {
-                self.hand = n;
-            }
-        }
-        self.prev[slot] = NIL;
-        self.next[slot] = NIL;
-    }
-}
-
-impl Default for ClockRing {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ReplacementPolicy for ClockRing {
-    fn name(&self) -> &'static str {
-        "clock"
-    }
-
-    fn insert(&mut self, slot: usize, hint: AccessHint) {
-        self.grow(slot);
-        debug_assert!(!self.tracked[slot], "slot inserted twice");
-        self.tracked[slot] = true;
-        self.len += 1;
-        self.link_before_hand(slot);
-        match hint {
-            AccessHint::Normal => self.referenced[slot] = true,
-            AccessHint::Scan => {
-                // Next victim candidate unless re-referenced first.
-                self.referenced[slot] = false;
-                self.hand = slot;
-            }
-        }
-    }
-
-    fn touch(&mut self, slot: usize, hint: AccessHint) {
-        if hint == AccessHint::Normal {
-            self.referenced[slot] = true;
-            if self.hand == slot {
-                // A scan insertion parked the hand on this slot; the
-                // re-reference promotes it to a full sweep of grace.
-                self.hand = self.next[slot];
-            }
-        }
-    }
-
-    fn remove(&mut self, slot: usize) {
-        debug_assert!(self.tracked[slot], "removing untracked slot");
-        self.unlink(slot);
-        self.tracked[slot] = false;
-        self.len -= 1;
-    }
-
-    fn evict(&mut self, evictable: &mut dyn FnMut(usize) -> bool) -> Option<usize> {
-        if self.hand == NIL {
-            return None;
-        }
-        // Two full sweeps bound the search: the first clears every set
-        // reference bit, the second must find a victim unless every frame is
-        // blocked.  Each cleared bit was paid for by a touch, so the
-        // amortized cost per miss is O(1).
-        let mut remaining = 2 * self.len + 1;
-        while remaining > 0 {
-            remaining -= 1;
-            let cur = self.hand;
-            if !evictable(cur) {
-                self.hand = self.next[cur];
-            } else if self.referenced[cur] {
-                self.referenced[cur] = false;
-                self.hand = self.next[cur];
-            } else {
-                self.remove(cur);
-                return Some(cur);
-            }
-        }
-        None
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-}
-
-// ---------------------------------------------------------------------------
 // SIEVE: FIFO queue + lazy-promotion hand
 // ---------------------------------------------------------------------------
 
@@ -629,9 +475,9 @@ impl ReplacementPolicy for SieveHand {
         if self.len == 0 {
             return None;
         }
-        // Two passes bound the walk exactly as for the clock: the first
-        // clears `visited` bits (each paid for by a hit), the second finds
-        // the victim unless everything is blocked.
+        // Two passes bound the walk: the first clears `visited` bits (each
+        // paid for by a hit), the second finds the victim unless everything
+        // is blocked.
         let mut remaining = 2 * self.len + 1;
         while remaining > 0 {
             remaining -= 1;
@@ -828,38 +674,6 @@ mod tests {
         assert_eq!(p.evict(&mut |_| true), Some(2));
         assert_eq!(p.evict(&mut |_| true), Some(0));
         assert_eq!(p.evict(&mut |_| true), Some(1));
-    }
-
-    #[test]
-    fn clock_gives_touched_frames_a_second_chance() {
-        let mut p = ClockRing::new();
-        for s in 0..3 {
-            p.insert(s, AccessHint::Normal);
-        }
-        // All referenced: the first eviction clears bits for a full sweep,
-        // then takes the first frame it revisits.
-        let first = p.evict(&mut |_| true).unwrap();
-        p.touch(first ^ 1, AccessHint::Normal); // arbitrary surviving slot
-        assert_eq!(p.len(), 2);
-    }
-
-    #[test]
-    fn clock_scan_insertions_are_next_victims() {
-        let mut p = ClockRing::new();
-        p.insert(0, AccessHint::Normal);
-        p.insert(1, AccessHint::Normal);
-        p.insert(2, AccessHint::Scan);
-        assert_eq!(p.evict(&mut |_| true), Some(2), "scan page goes first");
-    }
-
-    #[test]
-    fn clock_scan_page_survives_when_re_referenced() {
-        let mut p = ClockRing::new();
-        p.insert(0, AccessHint::Normal);
-        p.insert(1, AccessHint::Scan);
-        p.touch(1, AccessHint::Normal);
-        let v = p.evict(&mut |_| true).unwrap();
-        assert_ne!(v, 1, "re-referenced scan page must not be the victim");
     }
 
     #[test]
