@@ -15,8 +15,8 @@
 //! A [`Table`] registers heap data plus physical indexes (any of the five
 //! `SpIndex` implementations, dispatched through one trait object — see
 //! the `index` module), derives the planner's [`AvailableIndex`]
-//! statistics automatically from each index's
-//! [`TreeStats`](spgist_core::TreeStats), and executes the chosen plan;
+//! statistics in O(1) from each index's live page count and a memoized
+//! [`TreeStats`] page height, and executes the chosen plan;
 //! results stream through an [`ExecCursor`] whose
 //! [`ExecCursor::path`]/[`ExecCursor::source`] expose the planned and the
 //! actually-dispatched operator trees.
@@ -49,7 +49,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
-use spgist_core::RowId;
+use spgist_core::{RowId, TreeStats};
 use spgist_indexes::geom::{Point, Rect, Segment};
 use spgist_indexes::query::{PointQuery, SegmentQuery, StringQuery};
 use spgist_storage::{
@@ -579,51 +579,61 @@ impl From<&Query> for Query {
 // Physical indexes
 // ---------------------------------------------------------------------------
 
-/// Memoized planner statistics with an invalidation epoch: a write that
-/// lands while a planner is mid-way through the slow `stats()` tree walk
-/// bumps the epoch, so the stale result is returned to that one planner but
-/// never cached.
-#[derive(Default)]
-struct StatsCache {
-    epoch: u64,
-    value: Option<(u64, u32)>,
-}
-
 struct NamedIndex {
     name: String,
     spec: IndexSpec,
     index: Box<dyn TableIndex>,
-    /// Memoized planner statistics `(pages, page_height)`.  Deriving them
-    /// from [`TreeStats`](spgist_core::TreeStats) walks the whole tree, so
-    /// the result is cached until the next write invalidates it — planning
-    /// a query must not cost more than running it.  A `Mutex` (not a
-    /// `Cell`) so that concurrent planners and writers share the memo
-    /// safely.
-    cached_stats: Mutex<StatsCache>,
+    /// The planner's page height, memoized as `(pages_at_walk, height)`:
+    /// the live page count when a [`TreeStats`] walk (or the bulk build)
+    /// last derived `height`.  Writes never touch it; planning re-walks
+    /// only when the live page count drifts out of [`HEIGHT_DRIFT`]× of
+    /// `pages_at_walk` ([`NamedIndex::planner_stats`]).  `None` on a
+    /// reopened index until its first plan walks.
+    height: Mutex<Option<(u64, u32)>>,
 }
 
+/// How far the live page count may drift from the count at the last tree
+/// walk, in either direction, before the memoized page height is
+/// re-derived.  Each re-walk costs O(pages) and the next one waits for the
+/// page count to double or halve, so the walks stay geometric in the pages
+/// allocated.
+const HEIGHT_DRIFT: u64 = 2;
+
 impl NamedIndex {
-    fn planner_stats(&self) -> StorageResult<(u64, u32)> {
-        let epoch = {
-            let cache = self.cached_stats.lock();
-            if let Some(cached) = cache.value {
-                return Ok(cached);
-            }
-            cache.epoch
-        };
-        let stats = self.index.stats()?;
-        let derived = (stats.pages, stats.max_page_height);
-        let mut cache = self.cached_stats.lock();
-        if cache.epoch == epoch {
-            cache.value = Some(derived);
+    fn new(name: &str, spec: IndexSpec, index: Box<dyn TableIndex>) -> Self {
+        NamedIndex {
+            name: name.to_string(),
+            spec,
+            index,
+            height: Mutex::new(None),
         }
-        Ok(derived)
     }
 
-    fn invalidate_stats(&self) {
-        let mut cache = self.cached_stats.lock();
-        cache.epoch += 1;
-        cache.value = None;
+    /// The planner's `(pages, page_height)` for this index, the analog of
+    /// PostgreSQL reading a relation's block count from storage and a
+    /// cached tree height: the page count is read live in O(1); the page
+    /// height comes from the memo, refreshed by one whole-tree walk only
+    /// when the page count has left [½×, 2×] of the walked count.
+    fn planner_stats(&self) -> StorageResult<(u64, u32)> {
+        let pages = self.index.page_count();
+        if let Some((walked, height)) = *self.height.lock() {
+            if pages <= walked.saturating_mul(HEIGHT_DRIFT)
+                && pages.saturating_mul(HEIGHT_DRIFT) >= walked
+            {
+                return Ok((pages, height));
+            }
+        }
+        // A concurrent planner may walk too; both store the same kind of
+        // fresh result, so the race costs only the duplicate walk.
+        let stats = self.index.stats()?;
+        self.seed_height(&stats);
+        Ok((pages, stats.max_page_height))
+    }
+
+    /// Memoizes the page height of a walk (or of a bulk build) that saw
+    /// `stats.pages` pages.
+    fn seed_height(&self, stats: &TreeStats) {
+        *self.height.lock() = Some((stats.pages, stats.max_page_height));
     }
 }
 
@@ -1124,12 +1134,7 @@ impl Table {
                     key_type.name()
                 )));
             }
-            indexes.push(NamedIndex {
-                name: pi.name.clone(),
-                spec,
-                index,
-                cached_stats: Mutex::new(StatsCache::default()),
-            });
+            indexes.push(NamedIndex::new(&pi.name, spec, index));
         }
         Ok(Table {
             name: pt.name.clone(),
@@ -1486,7 +1491,6 @@ impl Table {
         let items: Vec<(Datum, RowId)> = datums.into_iter().zip(first..).collect();
         for named in &self.indexes {
             named.index.insert_batch(&items)?;
-            named.invalidate_stats();
         }
         Ok(())
     }
@@ -1499,7 +1503,6 @@ impl Table {
         if let Some(datum) = &removed {
             for named in &self.indexes {
                 named.index.delete(datum, row)?;
-                named.invalidate_stats();
             }
         }
         Ok(removed)
@@ -1565,7 +1568,8 @@ impl Table {
     /// once.  The same scan seeds the planner's statistics with the
     /// **exact** live distinct-key count, replacing whatever session-local
     /// approximation had accumulated (first step on the planner-statistics
-    /// roadmap item).
+    /// roadmap item), and the build's own [`TreeStats`] seed the planner's
+    /// page-height memo, so the first query plans without a tree walk.
     pub fn create_index(&mut self, name: &str, spec: IndexSpec) -> StorageResult<()> {
         if spec.key_type() != self.key_type {
             return Err(StorageError::Unsupported(format!(
@@ -1603,14 +1607,12 @@ impl Table {
                 inner.distinct = distinct;
                 inner.distinct_base = 0;
             }
-            index.bulk_build(&items)?;
         }
-        self.indexes.push(NamedIndex {
-            name: name.to_string(),
-            spec,
-            index,
-            cached_stats: Mutex::new(StatsCache::default()),
-        });
+        // An empty build is a no-op that reports the empty tree's stats.
+        let built = index.bulk_build(&items)?;
+        let named = NamedIndex::new(name, spec, index);
+        named.seed_height(&built);
+        self.indexes.push(named);
         self.inner.get_mut().dirty.mutated = true;
         Ok(())
     }
@@ -1664,9 +1666,11 @@ impl Table {
         }
     }
 
-    /// The planner's view of the physical indexes, derived automatically
-    /// from each index's measured [`TreeStats`](spgist_core::TreeStats)
-    /// (memoized between writes).
+    /// The planner's view of the physical indexes: each index's live page
+    /// count (O(1), never stale) and its page height from the last
+    /// [`TreeStats`] walk, re-walked only once the page count has doubled or
+    /// halved since (see `NamedIndex::planner_stats`).  Writes leave
+    /// planner state alone, so planning after a write reads no index page.
     pub fn available_indexes(&self) -> StorageResult<Vec<AvailableIndex>> {
         self.indexes
             .iter()
@@ -3708,6 +3712,94 @@ mod tests {
             "stats must come from the built tree"
         );
         assert!(available[0].page_height > 0);
+    }
+
+    /// The live page count of every index on `table`, as a full
+    /// [`TreeStats`] walk reports it.
+    fn walked_pages(table: &Table) -> Vec<u64> {
+        table
+            .indexes
+            .iter()
+            .map(|named| named.index.stats().unwrap().pages)
+            .collect()
+    }
+
+    #[test]
+    fn planning_after_writes_reads_no_index_pages() {
+        let mut db = word_table(3000);
+        {
+            let table = db.table_mut("words").unwrap();
+            table.create_index("words_trie", IndexSpec::Trie).unwrap();
+            table
+                .create_index("words_suffix", IndexSpec::SuffixTree)
+                .unwrap();
+        }
+        let table = db.table("words").unwrap();
+        let queries = [
+            Predicate::str_prefix("ab"),
+            Predicate::str_substring("cd"),
+            Predicate::str_prefix("a").and(Predicate::str_substring("b")),
+        ];
+        for step in 0..50u64 {
+            if step % 2 == 0 {
+                // Long, novel words so the trees keep allocating pages.
+                table
+                    .insert(format!("zz{step:04}{}", "q".repeat(40)))
+                    .unwrap();
+            } else {
+                table.delete(step * 37).unwrap();
+            }
+            for query in &queries {
+                let before = db.pool().stats();
+                table.plan(db.catalog(), query).unwrap();
+                let delta = db.pool().stats().delta_since(&before);
+                assert_eq!(
+                    delta.logical_reads, 0,
+                    "planning {query:?} after write {step} touched the pool"
+                );
+            }
+            let planned: Vec<u64> = table
+                .available_indexes()
+                .unwrap()
+                .iter()
+                .map(|index| index.pages)
+                .collect();
+            assert_eq!(planned, walked_pages(table), "after write {step}");
+        }
+    }
+
+    #[test]
+    fn planner_page_height_follows_growth() {
+        let mut db = Database::in_memory();
+        db.create_table("words", KeyType::Varchar).unwrap();
+        let table = db.table_mut("words").unwrap();
+        table.create_index("words_trie", IndexSpec::Trie).unwrap();
+        let memo = |table: &Table| table.indexes[0].height.lock().unwrap();
+        assert_eq!(memo(table), (0, 0), "seeded by the empty build");
+        let mut next = 0u64;
+        let mut insert_until = |table: &Table, pages: u64| {
+            while table.indexes[0].index.page_count() < pages {
+                table.insert(format!("{next:08}-{}", next % 97)).unwrap();
+                next += 1;
+            }
+        };
+        insert_until(table, 2);
+        table.available_indexes().unwrap();
+        let (first_walk, first_height) = memo(table);
+        assert_eq!(first_walk, 2, "the first plan past the seed walks");
+        // Up to 2x the walked count the memo stands, even though the tree
+        // has meanwhile grown a page level.
+        insert_until(table, first_walk * 2);
+        let stale = table.available_indexes().unwrap()[0].page_height;
+        assert_eq!(stale, first_height);
+        assert!(table.indexes[0].index.stats().unwrap().max_page_height > first_height);
+        // Past 2x, planning re-derives the height from one walk.
+        insert_until(table, first_walk * 2 + 1);
+        let planned = table.available_indexes().unwrap()[0].clone();
+        let walked = table.indexes[0].index.stats().unwrap();
+        assert_eq!(planned.pages, walked.pages);
+        assert_eq!(planned.page_height, walked.max_page_height);
+        assert_eq!(memo(table), (walked.pages, walked.max_page_height));
     }
 
     #[test]

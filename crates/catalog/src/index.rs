@@ -229,8 +229,11 @@ pub(crate) trait TableIndex: Send + Sync {
     /// search.  An index without distance support is a planning bug.
     fn ordered_scan(&self, predicate: &Predicate) -> StorageResult<RowIds<'_>>;
 
-    /// Structural statistics of the backing tree.
+    /// Structural statistics of the backing tree (a whole-tree walk).
     fn stats(&self) -> StorageResult<TreeStats>;
+
+    /// Pages the backing tree owns, read in O(1) ([`SpIndex::page_count`]).
+    fn page_count(&self) -> u64;
 
     /// The durable identity of this index, created as `spec`: kind,
     /// configuration, tree meta page, owned-page list, and kind-specific
@@ -339,6 +342,10 @@ where
 
     fn stats(&self) -> StorageResult<TreeStats> {
         SpIndex::stats(self)
+    }
+
+    fn page_count(&self) -> u64 {
+        SpIndex::page_count(self)
     }
 
     fn persisted(&self, name: &str, spec: &IndexSpec) -> PersistedIndex {

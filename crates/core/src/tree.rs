@@ -115,8 +115,10 @@ impl<O: SpGistOps> SpGistTree<O> {
     ///
     /// Only the root pointer and item count are persisted in the meta page;
     /// the page-ownership list used for size statistics is rebuilt lazily, so
-    /// [`SpGistTree::stats`] reports `pages = 0` for re-opened trees until new
-    /// pages are allocated.  Query and update correctness are unaffected.
+    /// [`SpGistTree::stats`] reports `pages = 0` — and
+    /// [`SpGistTree::page_count`], which a planner costs the index by,
+    /// reports `0` — for re-opened trees until new pages are allocated.
+    /// Query and update correctness are unaffected.
     /// When the caller persisted the ownership list (the durable catalog
     /// does), prefer [`SpGistTree::open_with_pages`], which restores full
     /// statistics, repacking and destruction behavior.
@@ -174,6 +176,13 @@ impl<O: SpGistOps> SpGistTree<O> {
     /// ownership knowledge.
     pub fn owned_pages(&self) -> Vec<PageId> {
         self.store.pages()
+    }
+
+    /// Number of pages owned by this tree's node store — the same figure as
+    /// [`TreeStats::pages`], read in O(1) without copying the page list or
+    /// walking the tree (the planner's live size statistic).
+    pub fn page_count(&self) -> u64 {
+        self.store.page_count() as u64
     }
 
     /// The meta page identifying this tree; pass it to [`SpGistTree::open`]
@@ -924,7 +933,7 @@ impl<O: SpGistOps> SpGistTree<O> {
     pub fn stats(&self) -> StorageResult<TreeStats> {
         let _pin = self.store.pin();
         let mut stats = TreeStats {
-            pages: self.store.page_count() as u64,
+            pages: self.page_count(),
             size_bytes: self.store.size_bytes(),
             utilization: self.store.utilization()?,
             ..TreeStats::default()
@@ -1290,6 +1299,45 @@ mod tests {
         assert!(stats.pages >= 1);
         assert!(stats.size_bytes >= stats.pages * 8192);
         assert!(stats.utilization > 0.0 && stats.utilization <= 1.0);
+    }
+
+    #[test]
+    fn page_count_matches_stats_pages_through_every_layout_change() {
+        let pool = BufferPool::in_memory();
+        let tree = SpGistTree::create(Arc::clone(&pool), DigitTrieOps::default()).unwrap();
+        let agree = |tree: &SpGistTree<DigitTrieOps>, when: &str| {
+            assert_eq!(tree.page_count(), tree.stats().unwrap().pages, "{when}");
+        };
+        agree(&tree, "empty");
+        for key in 0..3000u32 {
+            tree.insert(key, u64::from(key)).unwrap();
+        }
+        assert!(tree.page_count() > 1);
+        agree(&tree, "after inserts");
+        for key in (0..3000u32).step_by(3) {
+            assert!(tree.delete(&key, u64::from(key)).unwrap());
+        }
+        agree(&tree, "after deletes");
+        tree.repack().unwrap();
+        assert_ne!(tree.page_count(), 0);
+        agree(&tree, "after repack");
+
+        let reopened = SpGistTree::open_with_pages(
+            Arc::clone(&pool),
+            DigitTrieOps::default(),
+            tree.meta_page(),
+            tree.owned_pages(),
+        )
+        .unwrap();
+        assert_eq!(reopened.page_count(), tree.page_count());
+        agree(&reopened, "reopened with its page list");
+
+        let bulk = new_tree();
+        let built = bulk
+            .bulk_build((0..3000u32).map(|k| (k, u64::from(k))).collect())
+            .unwrap();
+        assert_eq!(bulk.page_count(), built.pages);
+        agree(&bulk, "after bulk_build");
     }
 
     #[test]

@@ -190,8 +190,13 @@ pub trait SpIndex {
     }
 
     /// Structural statistics (heights, pages, size) gathered from the
-    /// backing tree.
+    /// backing tree.  This walks the whole tree; for the page count alone
+    /// use [`SpIndex::page_count`].
     fn stats(&self) -> StorageResult<TreeStats>;
+
+    /// Number of pages the backing tree owns — [`TreeStats::pages`] read in
+    /// O(1), without a tree walk or a copy of the page list.
+    fn page_count(&self) -> u64;
 
     /// The meta page identifying the backing tree on its pager — one half of
     /// the index's durable identity (persist it, plus
@@ -364,6 +369,10 @@ impl<T: SpGistBacked> SpIndex for T {
 
     fn stats(&self) -> StorageResult<TreeStats> {
         self.backing().stats()
+    }
+
+    fn page_count(&self) -> u64 {
+        self.backing().page_count()
     }
 
     fn meta_page(&self) -> PageId {
