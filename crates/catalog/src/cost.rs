@@ -68,12 +68,6 @@ pub const CPU_TUPLE_COST: f64 = 0.01;
 /// (PostgreSQL `cpu_operator_cost`).  Charged for index-tuple re-checks,
 /// residual-filter evaluations and priority-queue work in ordered scans.
 pub const CPU_OPERATOR_COST: f64 = 0.0025;
-/// Cost of starting one parallel worker thread, in the same units as page
-/// costs (the analog of PostgreSQL `parallel_setup_cost`, charged per
-/// worker).  This is what keeps the parallel query driver from fanning out
-/// over tables too small to amortize thread startup.
-pub const PARALLEL_THREAD_STARTUP_COST: f64 = 100.0;
-
 impl CostEstimate {
     /// Cost of a full sequential scan of the table.
     pub fn seq_scan(stats: &TableStats) -> CostEstimate {
@@ -138,32 +132,6 @@ impl CostEstimate {
                 + (index_pages_fetched + heap_pages_fetched) * RANDOM_PAGE_COST
                 + reported as f64 * (CPU_TUPLE_COST + queue_depth * CPU_OPERATOR_COST),
         }
-    }
-
-    /// Cost of a sequential scan partitioned across `workers` threads: each
-    /// worker pays its startup, the page and tuple work divides across the
-    /// team.  Derived from the same `TableStats` page counts the serial
-    /// estimate uses (which in turn come from the measured tree/heap
-    /// statistics), so the driver only parallelizes once the table is large
-    /// enough that the divided scan beats the serial one despite the
-    /// per-worker startup cost.
-    pub fn parallel_seq_scan(stats: &TableStats, workers: usize) -> CostEstimate {
-        let workers = workers.max(1);
-        let serial = Self::seq_scan(stats);
-        let startup = PARALLEL_THREAD_STARTUP_COST * workers as f64;
-        CostEstimate {
-            selectivity: 1.0,
-            correlation: 0.0,
-            startup_cost: startup,
-            total_cost: startup + serial.total_cost / workers as f64,
-        }
-    }
-
-    /// True when splitting work of serial cost `serial_total` across
-    /// `workers` threads is expected to be faster than running it serially.
-    pub fn parallel_pays(serial_total: f64, workers: usize) -> bool {
-        let workers = workers.max(1) as f64;
-        PARALLEL_THREAD_STARTUP_COST * workers + serial_total / workers < serial_total
     }
 
     /// Cost of answering an ordered query without an index: scan the whole
@@ -235,31 +203,6 @@ mod tests {
         let full = CostEstimate::ordered_scan(&STATS, 5_000, 3, None);
         assert!(full.total_cost > idx.total_cost);
         assert_eq!(full.selectivity, 1.0);
-    }
-
-    #[test]
-    fn parallel_seq_scan_pays_only_on_large_tables() {
-        // Big table: dividing the scan wins despite per-worker startup.
-        let parallel = CostEstimate::parallel_seq_scan(&STATS, 4);
-        let serial = CostEstimate::seq_scan(&STATS);
-        assert!(parallel.total_cost < serial.total_cost);
-        assert!(CostEstimate::parallel_pays(serial.total_cost, 4));
-
-        // Small table: thread startup dominates; stay serial.
-        let small = TableStats {
-            rows: 500,
-            heap_pages: 5,
-            distinct_values: 500,
-        };
-        let small_serial = CostEstimate::seq_scan(&small);
-        let small_parallel = CostEstimate::parallel_seq_scan(&small, 4);
-        assert!(small_parallel.total_cost > small_serial.total_cost);
-        assert!(!CostEstimate::parallel_pays(small_serial.total_cost, 4));
-
-        // More workers always mean more startup cost to amortize.
-        let two = CostEstimate::parallel_seq_scan(&STATS, 2);
-        let eight = CostEstimate::parallel_seq_scan(&STATS, 8);
-        assert!(eight.startup_cost > two.startup_cost);
     }
 
     #[test]

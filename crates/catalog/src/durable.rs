@@ -7,7 +7,7 @@
 //! This module is that idea scaled to the workspace: a **catalog meta-table**
 //! serialized with the workspace [`Codec`] and stored in ordinary pages
 //! rooted at a well-known page (logical page 0 of the database file,
-//! [`CATALOG_ROOT`]).  It records, for every table: the key type, the heap's
+//! `CATALOG_ROOT`).  It records, for every table: the key type, the heap's
 //! page directory and record count, the row directory (row id → heap record),
 //! and every index's durable identity (class, configuration, tree meta page,
 //! owned-page list) — everything `Database::open` needs to reconstruct the
@@ -41,7 +41,7 @@
 //! `Database::close` / `Database::checkpoint` persist DML state (row
 //! directories, heap directories, index page lists).  Crash-atomicity comes
 //! from the pre-image journal in `spgist_storage::journal`; a torn file
-//! fails [`read_catalog`] with [`StorageError::Corrupt`] rather than
+//! fails `read_catalog` with [`StorageError::Corrupt`] rather than
 //! returning wrong rows.
 //!
 //! [`Database`]: crate::exec::Database

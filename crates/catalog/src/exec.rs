@@ -1,649 +1,51 @@
-//! The executable query layer: compositional plan → cursor → results.
+//! The executor: the [`Table`] (heap, row directory, DML and the index
+//! registry) and the one serial executor that turns a planned physical
+//! operator tree into a streaming [`ExecCursor`].
 //!
-//! Queries are boolean [`Predicate`] trees (`And`/`Or`/`Not` over the
-//! paper's operators, including `@@` nearest-neighbour leaves) with an
-//! optional `LIMIT` ([`Query`]).  Planning decomposes a tree into a physical
-//! operator tree surfaced as an [`AccessPath`]: index scans for indexable
-//! leaves, residual [`AccessPath::Filter`]s for the rest, row-id stream
-//! [`AccessPath::Intersect`]/[`AccessPath::Union`] (deduplicated while
-//! streaming), [`AccessPath::OrderedScan`]s that run `@@` through the
-//! incremental NN search costed like any other path, and
-//! [`AccessPath::Limit`] pushdown so cursors stop early instead of
-//! materializing.  The sequential scan competes against every strategy on
-//! honest cost, and is the fallback when no operator class helps.
+//! A table derives the planner's [`AvailableIndex`] statistics in O(1)
+//! from each index's live page count and a memoized page height, hands
+//! them to the [`planner`], and runs the chosen plan; the cursor's
+//! [`ExecCursor::path`]/[`ExecCursor::source`] expose the planned operator
+//! tree and the scans it dispatched to.  Indexes (any of the five
+//! `SpIndex` classes) sit behind one trait object, see the `index` module.
+//! Tables are `Send + Sync` and shared as `Arc<Table>` handles: the
+//! concurrency rules are on [`Table`].  Each query runs serially;
+//! [`Database::run_parallel`] spreads a batch of queries over threads.
 //!
-//! A [`Table`] registers heap data plus physical indexes (any of the five
-//! `SpIndex` implementations, dispatched through one trait object — see
-//! the `index` module), derives the planner's [`AvailableIndex`]
-//! statistics in O(1) from each index's live page count and a memoized
-//! [`TreeStats`] page height, and executes the chosen plan;
-//! results stream through an [`ExecCursor`] whose
-//! [`ExecCursor::path`]/[`ExecCursor::source`] expose the planned and the
-//! actually-dispatched operator trees.
-//!
-//! [`Database`] is the top-level facade: a catalog, a shared buffer pool and
-//! a set of named tables — the "many scenarios, one API" surface of the
-//! paper carried to its logical end.
-//!
-//! **Shared access.** Tables are handed out as `Arc<Table>` handles
-//! ([`Database::table_handle`]) that are `Send + Sync`: DML (`insert` /
-//! `delete`) and queries take `&self`.  The heap and row directory sit
-//! behind a table-level reader-writer latch; the physical indexes are
-//! internally concurrent (writers crab per-page latches, index cursors pin
-//! a reclamation epoch and never block writers), so the per-table DML lock
-//! is what makes a *statement* — heap change plus every index update —
-//! atomic with respect to other statements.  Index scans run latch-free:
-//! a long cursor delays page reclamation, never a writer.  DDL
-//! (`create_index` /
-//! `drop_index` / `drop_table`) requires exclusive access (`&mut` /
-//! no outstanding handles), the executor's analog of PostgreSQL's
-//! `AccessExclusiveLock`.  [`Database::run_parallel`] runs a batch of
-//! queries across a scoped thread pool, and [`Table::query_parallel`]
-//! partitions large sequential and intersection scans across threads when
-//! the cost model says the table is big enough to amortize thread startup.
+//! This module is also the public home of the query layer's names: the
+//! value and predicate types, [`Database`] and [`Transaction`] are
+//! re-exported here from the modules that define them.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
-use spgist_core::{RowId, TreeStats};
-use spgist_indexes::geom::{Point, Rect, Segment};
-use spgist_indexes::query::{PointQuery, SegmentQuery, StringQuery};
+use spgist_core::RowId;
 use spgist_storage::{
-    journal, AccessHint, BufferPool, BufferPoolConfig, CheckpointStats, Codec, FilePager, HeapFile,
-    MemPager, PageId, RecordId, StorageError, StorageResult,
+    AccessHint, BufferPool, Codec, HeapFile, RecordId, StorageError, StorageResult,
 };
-use spgist_wal::{Lsn, TxnId, Wal, WalConfig, WalRecord, AUTOCOMMIT};
+use spgist_wal::{Lsn, TxnId, Wal, WalRecord, AUTOCOMMIT};
 
 use crate::am::Catalog;
-use crate::cost::{CostEstimate, Selectivity, TableStats, CPU_OPERATOR_COST};
-use crate::durable::{
-    self, CatalogLayout, PersistedTable, RowsDelta, TableSnapshot, ROWS_PER_CHUNK,
-};
+use crate::cost::TableStats;
+use crate::durable::{PersistedTable, RowsDelta, TableSnapshot, ROWS_PER_CHUNK};
+use crate::index::NamedIndex;
+use crate::planner::{self, AccessPath, AvailableIndex, PhysNode, PlanContext};
+
+pub use crate::database::Database;
+pub use crate::datum::{Datum, KeyType, Predicate, Query};
 pub use crate::index::IndexSpec;
-use crate::index::TableIndex;
-use crate::planner::{AccessPath, AvailableIndex, Planner, QueryPredicate};
-
-// ---------------------------------------------------------------------------
-// Typed values and predicates
-// ---------------------------------------------------------------------------
-
-/// Key type of a table column (the `key_type` the catalog's operator
-/// classes are defined over).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KeyType {
-    /// String keys (`VARCHAR`): trie, suffix tree, B⁺-tree classes.
-    Varchar,
-    /// 2-D point keys (`POINT`): kd-tree, point quadtree, R-tree classes.
-    Point,
-    /// Line-segment keys (`SEGMENT`): the PMR-quadtree class.
-    Segment,
-}
-
-impl KeyType {
-    /// Catalog spelling of the type name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            KeyType::Varchar => "VARCHAR",
-            KeyType::Point => "POINT",
-            KeyType::Segment => "SEGMENT",
-        }
-    }
-
-    /// Stable on-disk tag (durable catalog).
-    fn tag(&self) -> u8 {
-        match self {
-            KeyType::Varchar => 0,
-            KeyType::Point => 1,
-            KeyType::Segment => 2,
-        }
-    }
-
-    fn from_tag(tag: u8) -> StorageResult<Self> {
-        match tag {
-            0 => Ok(KeyType::Varchar),
-            1 => Ok(KeyType::Point),
-            2 => Ok(KeyType::Segment),
-            t => Err(StorageError::Corrupt(format!("invalid key-type tag {t}"))),
-        }
-    }
-}
-
-/// A typed value stored in a table's key column.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Datum {
-    /// A string.
-    Text(String),
-    /// A 2-D point.
-    Point(Point),
-    /// A line segment.
-    Segment(Segment),
-}
-
-impl Datum {
-    /// The key type this value belongs to.
-    pub fn key_type(&self) -> KeyType {
-        match self {
-            Datum::Text(_) => KeyType::Varchar,
-            Datum::Point(_) => KeyType::Point,
-            Datum::Segment(_) => KeyType::Segment,
-        }
-    }
-
-    fn encode_record(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match self {
-            Datum::Text(s) => {
-                0u8.encode(&mut out);
-                s.encode(&mut out);
-            }
-            Datum::Point(p) => {
-                1u8.encode(&mut out);
-                p.encode(&mut out);
-            }
-            Datum::Segment(s) => {
-                2u8.encode(&mut out);
-                s.encode(&mut out);
-            }
-        }
-        out
-    }
-
-    fn decode_record(bytes: &[u8]) -> StorageResult<Self> {
-        let mut buf = bytes;
-        match u8::decode(&mut buf)? {
-            0 => Ok(Datum::Text(String::decode(&mut buf)?)),
-            1 => Ok(Datum::Point(Point::decode(&mut buf)?)),
-            2 => Ok(Datum::Segment(Segment::decode(&mut buf)?)),
-            tag => Err(StorageError::Decode(format!("invalid datum tag {tag}"))),
-        }
-    }
-}
-
-impl From<&str> for Datum {
-    fn from(s: &str) -> Self {
-        Datum::Text(s.to_string())
-    }
-}
-
-impl From<String> for Datum {
-    fn from(s: String) -> Self {
-        Datum::Text(s)
-    }
-}
-
-impl From<Point> for Datum {
-    fn from(p: Point) -> Self {
-        Datum::Point(p)
-    }
-}
-
-impl From<Segment> for Datum {
-    fn from(s: Segment) -> Self {
-        Datum::Segment(s)
-    }
-}
-
-/// An executable query predicate: a boolean tree of `And`/`Or`/`Not` over
-/// the paper's registered operators applied to typed arguments.
-///
-/// Unlike [`QueryPredicate`] (operator *name* + key type, all the planner
-/// needs), a `Predicate` carries the actual arguments, so the executor can
-/// both run its leaves through indexes and re-check the whole tree against
-/// heap tuples.  Leaves are built with the constructors below and composed
-/// with [`Predicate::and`] / [`Predicate::or`] / [`Predicate::negate`];
-/// [`Predicate::limit`] turns the tree into a [`Query`] with `LIMIT`
-/// pushdown.
-///
-/// ```
-/// use spgist_catalog::exec::Predicate;
-///
-/// let q = Predicate::str_prefix("sp")
-///     .and(Predicate::str_regex("spa?e"))
-///     .or(Predicate::str_equals("star"))
-///     .limit(10);
-/// # let _ = q;
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub enum Predicate {
-    /// A predicate over string keys.
-    Str(StringQuery),
-    /// A predicate over point keys.
-    Point(PointQuery),
-    /// A predicate over segment keys.
-    Segment(SegmentQuery),
-    /// Conjunction: every child predicate must hold (vacuously true when
-    /// empty).
-    And(Vec<Predicate>),
-    /// Disjunction: at least one child predicate must hold (vacuously false
-    /// when empty).
-    Or(Vec<Predicate>),
-    /// Negation of the inner predicate.
-    Not(Box<Predicate>),
-}
-
-impl Predicate {
-    /// `=` over strings.
-    pub fn str_equals(word: &str) -> Self {
-        Predicate::Str(StringQuery::Equals(word.to_string()))
-    }
-
-    /// `#=` (prefix) over strings.
-    pub fn str_prefix(prefix: &str) -> Self {
-        Predicate::Str(StringQuery::Prefix(prefix.to_string()))
-    }
-
-    /// `?=` (single-character-wildcard regex) over strings.
-    pub fn str_regex(pattern: &str) -> Self {
-        Predicate::Str(StringQuery::Regex(pattern.to_string()))
-    }
-
-    /// `@=` (substring) over strings.
-    pub fn str_substring(needle: &str) -> Self {
-        Predicate::Str(StringQuery::Substring(needle.to_string()))
-    }
-
-    /// `@` (point equality).
-    pub fn point_equals(point: Point) -> Self {
-        Predicate::Point(PointQuery::Equals(point))
-    }
-
-    /// `^` (point inside box).
-    pub fn point_in_rect(rect: Rect) -> Self {
-        Predicate::Point(PointQuery::InRect(rect))
-    }
-
-    /// `=` over segments.
-    pub fn segment_equals(segment: Segment) -> Self {
-        Predicate::Segment(SegmentQuery::Equals(segment))
-    }
-
-    /// `&&` (segment intersects box — the PMR window query).
-    pub fn segment_in_rect(rect: Rect) -> Self {
-        Predicate::Segment(SegmentQuery::InRect(rect))
-    }
-
-    /// `@@` over strings: order results by Hamming-style distance to `word`.
-    pub fn str_nearest(word: &str) -> Self {
-        Predicate::Str(StringQuery::Nearest(word.to_string()))
-    }
-
-    /// `@@` over points: order results by Euclidean distance to `anchor`.
-    pub fn point_nearest(anchor: Point) -> Self {
-        Predicate::Point(PointQuery::Nearest(anchor))
-    }
-
-    /// `@@` over segments: order results by minimum Euclidean distance from
-    /// `anchor` to the segment.
-    pub fn segment_nearest(anchor: Point) -> Self {
-        Predicate::Segment(SegmentQuery::Nearest(anchor))
-    }
-
-    /// Conjunction with `other`, flattening nested `And`s.
-    pub fn and(self, other: Predicate) -> Predicate {
-        match self {
-            Predicate::And(mut children) => {
-                children.push(other);
-                Predicate::And(children)
-            }
-            leaf => Predicate::And(vec![leaf, other]),
-        }
-    }
-
-    /// Disjunction with `other`, flattening nested `Or`s.
-    pub fn or(self, other: Predicate) -> Predicate {
-        match self {
-            Predicate::Or(mut children) => {
-                children.push(other);
-                Predicate::Or(children)
-            }
-            leaf => Predicate::Or(vec![leaf, other]),
-        }
-    }
-
-    /// Negation of this predicate.
-    pub fn negate(self) -> Predicate {
-        Predicate::Not(Box::new(self))
-    }
-
-    /// Turns the predicate into a [`Query`] reporting at most `k` rows,
-    /// with the limit pushed into every scan operator.
-    pub fn limit(self, k: usize) -> Query {
-        Query::new(self).limit(k)
-    }
-
-    /// The catalog operator name a *leaf* predicate maps to (`"@@"` for
-    /// nearest-neighbour anchors, which plan as ordered scans); `None` for
-    /// the boolean composites, which have no single operator.
-    pub fn operator(&self) -> Option<&'static str> {
-        match self {
-            Predicate::Str(StringQuery::Equals(_)) => Some("="),
-            Predicate::Str(StringQuery::Prefix(_)) => Some("#="),
-            Predicate::Str(StringQuery::Regex(_)) => Some("?="),
-            Predicate::Str(StringQuery::Substring(_)) => Some("@="),
-            Predicate::Str(StringQuery::Nearest(_))
-            | Predicate::Point(PointQuery::Nearest(_))
-            | Predicate::Segment(SegmentQuery::Nearest(_)) => Some("@@"),
-            Predicate::Point(PointQuery::Equals(_)) => Some("@"),
-            Predicate::Point(PointQuery::InRect(_)) => Some("^"),
-            Predicate::Segment(SegmentQuery::Equals(_)) => Some("="),
-            Predicate::Segment(SegmentQuery::InRect(_)) => Some("&&"),
-            Predicate::And(_) | Predicate::Or(_) | Predicate::Not(_) => None,
-        }
-    }
-
-    /// True for a `@@` (nearest-neighbour) leaf.
-    pub fn is_ordered_leaf(&self) -> bool {
-        matches!(
-            self,
-            Predicate::Str(StringQuery::Nearest(_))
-                | Predicate::Point(PointQuery::Nearest(_))
-                | Predicate::Segment(SegmentQuery::Nearest(_))
-        )
-    }
-
-    /// The `@@` leaf that orders this predicate's output: the leaf itself,
-    /// or the single ordered conjunct of a top-level `And` (the constrained
-    /// k-NN shape).  `None` for unordered predicates.
-    pub fn ordered_driver(&self) -> Option<&Predicate> {
-        match self {
-            Predicate::And(children) => children.iter().find(|c| c.is_ordered_leaf()),
-            leaf if leaf.is_ordered_leaf() => Some(leaf),
-            _ => None,
-        }
-    }
-
-    /// True if this tree has any operator leaf at all (an empty `And`/`Or`
-    /// has none and is type-agnostic).
-    fn has_leaves(&self) -> bool {
-        match self {
-            Predicate::And(children) | Predicate::Or(children) => {
-                children.iter().any(Predicate::has_leaves)
-            }
-            Predicate::Not(inner) => inner.has_leaves(),
-            _ => true,
-        }
-    }
-
-    /// True if this tree contains a `@@` leaf anywhere.
-    pub fn contains_ordered(&self) -> bool {
-        match self {
-            Predicate::And(children) | Predicate::Or(children) => {
-                children.iter().any(Predicate::contains_ordered)
-            }
-            Predicate::Not(inner) => inner.contains_ordered(),
-            leaf => leaf.is_ordered_leaf(),
-        }
-    }
-
-    /// The key type this predicate applies to: the type shared by all of its
-    /// leaves, or `None` for a leafless tree (empty `And`/`Or`) — and for a
-    /// mixed-type tree, which no single-column table can satisfy anyway and
-    /// which [`Table::plan`] rejects.
-    pub fn key_type(&self) -> Option<KeyType> {
-        match self {
-            Predicate::Str(_) => Some(KeyType::Varchar),
-            Predicate::Point(_) => Some(KeyType::Point),
-            Predicate::Segment(_) => Some(KeyType::Segment),
-            Predicate::And(children) | Predicate::Or(children) => {
-                let mut found = None;
-                for child in children {
-                    match (found, child.key_type()) {
-                        (_, None) => {}
-                        (None, some) => found = some,
-                        (Some(a), Some(b)) if a == b => {}
-                        (Some(_), Some(_)) => return None,
-                    }
-                }
-                found
-            }
-            Predicate::Not(inner) => inner.key_type(),
-        }
-    }
-
-    /// Straight-line re-check against a heap tuple (the sequential-scan and
-    /// residual filter).  Type-mismatched leaves never match; `@@` leaves
-    /// match every tuple of their type (they order, they do not select).
-    pub fn matches(&self, datum: &Datum) -> bool {
-        match self {
-            Predicate::Str(q) => matches!(datum, Datum::Text(s) if q.matches(s)),
-            Predicate::Point(q) => matches!(datum, Datum::Point(p) if q.matches(p)),
-            Predicate::Segment(q) => matches!(datum, Datum::Segment(s) if q.matches(s)),
-            Predicate::And(children) => children.iter().all(|c| c.matches(datum)),
-            Predicate::Or(children) => children.iter().any(|c| c.matches(datum)),
-            Predicate::Not(inner) => !inner.matches(datum),
-        }
-    }
-
-    /// Distance from a `@@` leaf's anchor to `datum` (the ordering key of
-    /// the sorted sequential-scan fallback).  Infinite for type mismatches
-    /// and for non-ordered predicates.
-    pub fn distance(&self, datum: &Datum) -> f64 {
-        match (self, datum) {
-            (Predicate::Str(StringQuery::Nearest(q)), Datum::Text(s)) => {
-                spgist_indexes::query::hamming_distance(s, q)
-            }
-            (Predicate::Point(PointQuery::Nearest(q)), Datum::Point(p)) => p.distance(q),
-            (Predicate::Segment(SegmentQuery::Nearest(q)), Datum::Segment(s)) => {
-                s.distance_to_point(q)
-            }
-            _ => f64::INFINITY,
-        }
-    }
-
-    /// The planner-facing form of a leaf predicate, carrying an
-    /// argument-aware selectivity estimate where the argument tells more
-    /// than the operator's class-level default.
-    pub fn to_query_predicate(&self) -> Option<QueryPredicate> {
-        let op = self.operator()?;
-        let key_type = self.key_type()?;
-        let qp = QueryPredicate::new(op, key_type.name());
-        Some(match self.selectivity_hint() {
-            Some(s) => qp.with_selectivity(s),
-            None => qp,
-        })
-    }
-
-    /// Argument-aware selectivity for string-match leaves: an empty prefix,
-    /// pattern or needle retrieves (nearly) the whole table, and every fixed
-    /// character cuts the match fraction — the honesty the planner needs to
-    /// route low-selectivity predicates to the heap.
-    fn selectivity_hint(&self) -> Option<f64> {
-        /// Fraction of rows matched per fixed character: one letter of the
-        /// paper's 26-letter uniform word alphabet.
-        const PER_CHAR_SEL: f64 = 1.0 / 26.0;
-        /// A needle can match at any of roughly `avg word length` positions.
-        const POSITIONS: f64 = 8.0;
-        /// Rough chance that a random word has exactly the pattern's length
-        /// (lengths are uniform over `[1, 15]`).
-        const LENGTH_SEL: f64 = 1.0 / 15.0;
-        let clamp = |s: f64| s.clamp(1e-9, 1.0);
-        match self {
-            Predicate::Str(StringQuery::Prefix(p)) => Some(if p.is_empty() {
-                1.0
-            } else {
-                clamp(PER_CHAR_SEL.powi(p.len() as i32))
-            }),
-            Predicate::Str(StringQuery::Substring(n)) => Some(if n.is_empty() {
-                1.0
-            } else {
-                clamp(POSITIONS * PER_CHAR_SEL.powi(n.len() as i32))
-            }),
-            Predicate::Str(StringQuery::Regex(r)) => {
-                let fixed = r.bytes().filter(|b| *b != b'?').count();
-                // The length must match exactly even with all wildcards.
-                Some(clamp(LENGTH_SEL * PER_CHAR_SEL.powi(fixed as i32)))
-            }
-            Predicate::Point(PointQuery::InRect(r))
-            | Predicate::Segment(SegmentQuery::InRect(r)) => {
-                // Area fraction relative to the paper's [0, 100]² world —
-                // far more honest than a flat contsel for window queries,
-                // and what the constrained-k-NN costing needs to size the
-                // ordered scan's effective limit.
-                const WORLD_AREA: f64 = 100.0 * 100.0;
-                Some((r.area() / WORLD_AREA).clamp(5e-4, 1.0))
-            }
-            _ => None,
-        }
-    }
-
-    /// Estimated fraction of table rows this predicate tree retrieves, under
-    /// the planner's independence assumption.
-    fn estimate_selectivity(&self, stats: &TableStats) -> f64 {
-        match self {
-            Predicate::And(children) => children
-                .iter()
-                .map(|c| c.estimate_selectivity(stats))
-                .product(),
-            Predicate::Or(children) => children
-                .iter()
-                .map(|c| c.estimate_selectivity(stats))
-                .sum::<f64>()
-                .min(1.0),
-            Predicate::Not(inner) => 1.0 - inner.estimate_selectivity(stats),
-            leaf if leaf.is_ordered_leaf() => 1.0,
-            leaf => leaf.selectivity_hint().unwrap_or_else(|| {
-                match leaf.operator() {
-                    // Equality: eqsel.
-                    Some("=") | Some("@") => Selectivity::EqSel.estimate(stats.distinct_values),
-                    // Containment / overlap: contsel.
-                    Some("^") | Some("&&") => Selectivity::ContSel.estimate(stats.distinct_values),
-                    _ => Selectivity::LikeSel.estimate(stats.distinct_values),
-                }
-            }),
-        }
-    }
-}
-
-/// A complete query: a [`Predicate`] tree plus an optional `LIMIT`.
-///
-/// Anything accepting `impl Into<Query>` (notably [`Table::query`] and
-/// [`Database::query`]) also takes a bare [`Predicate`] or `&Predicate`, so
-/// the one-liner form keeps working:
-///
-/// ```
-/// use spgist_catalog::exec::{Predicate, Query};
-///
-/// let bare: Query = Predicate::str_prefix("sp").into();
-/// assert_eq!(bare.limit, None);
-/// let limited = Predicate::str_prefix("sp").limit(5);
-/// assert_eq!(limited.limit, Some(5));
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Query {
-    /// The boolean predicate tree to evaluate.
-    pub predicate: Predicate,
-    /// Maximum number of rows to report; pushed into every scan operator so
-    /// cursors stop early instead of materializing.
-    pub limit: Option<usize>,
-}
-
-impl Query {
-    /// A query over `predicate` with no limit.
-    pub fn new(predicate: Predicate) -> Self {
-        Query {
-            predicate,
-            limit: None,
-        }
-    }
-
-    /// Caps the result at `k` rows (`LIMIT k`).
-    pub fn limit(mut self, k: usize) -> Self {
-        self.limit = Some(k);
-        self
-    }
-}
-
-impl From<Predicate> for Query {
-    fn from(predicate: Predicate) -> Self {
-        Query::new(predicate)
-    }
-}
-
-impl From<&Predicate> for Query {
-    fn from(predicate: &Predicate) -> Self {
-        Query::new(predicate.clone())
-    }
-}
-
-impl From<&Query> for Query {
-    fn from(query: &Query) -> Self {
-        query.clone()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Physical indexes
-// ---------------------------------------------------------------------------
-
-struct NamedIndex {
-    name: String,
-    spec: IndexSpec,
-    index: Box<dyn TableIndex>,
-    /// The planner's page height, memoized as `(pages_at_walk, height)`:
-    /// the live page count when a [`TreeStats`] walk (or the bulk build)
-    /// last derived `height`.  Writes never touch it; planning re-walks
-    /// only when the live page count drifts out of [`HEIGHT_DRIFT`]× of
-    /// `pages_at_walk` ([`NamedIndex::planner_stats`]).  `None` on a
-    /// reopened index until its first plan walks.
-    height: Mutex<Option<(u64, u32)>>,
-}
-
-/// How far the live page count may drift from the count at the last tree
-/// walk, in either direction, before the memoized page height is
-/// re-derived.  Each re-walk costs O(pages) and the next one waits for the
-/// page count to double or halve, so the walks stay geometric in the pages
-/// allocated.
-const HEIGHT_DRIFT: u64 = 2;
-
-impl NamedIndex {
-    fn new(name: &str, spec: IndexSpec, index: Box<dyn TableIndex>) -> Self {
-        NamedIndex {
-            name: name.to_string(),
-            spec,
-            index,
-            height: Mutex::new(None),
-        }
-    }
-
-    /// The planner's `(pages, page_height)` for this index, the analog of
-    /// PostgreSQL reading a relation's block count from storage and a
-    /// cached tree height: the page count is read live in O(1); the page
-    /// height comes from the memo, refreshed by one whole-tree walk only
-    /// when the page count has left [½×, 2×] of the walked count.
-    fn planner_stats(&self) -> StorageResult<(u64, u32)> {
-        let pages = self.index.page_count();
-        if let Some((walked, height)) = *self.height.lock() {
-            if pages <= walked.saturating_mul(HEIGHT_DRIFT)
-                && pages.saturating_mul(HEIGHT_DRIFT) >= walked
-            {
-                return Ok((pages, height));
-            }
-        }
-        // A concurrent planner may walk too; both store the same kind of
-        // fresh result, so the race costs only the duplicate walk.
-        let stats = self.index.stats()?;
-        self.seed_height(&stats);
-        Ok((pages, stats.max_page_height))
-    }
-
-    /// Memoizes the page height of a walk (or of a bulk build) that saw
-    /// `stats.pages` pages.
-    fn seed_height(&self, stats: &TreeStats) {
-        *self.height.lock() = Some((stats.pages, stats.max_page_height));
-    }
-}
+pub use crate::txn::Transaction;
 
 // ---------------------------------------------------------------------------
 // Execution cursors
 // ---------------------------------------------------------------------------
 
-/// Where an [`ExecCursor`]'s rows actually come from — recorded at dispatch
-/// time, so tests can prove the planner's chosen plan is the one executed.
-/// Mirrors the shape of the [`AccessPath`] operator tree.
+/// Where an [`ExecCursor`]'s rows come from: the scans of the executed
+/// plan, projected once from its [`AccessPath`] (the executor follows the
+/// plan's shape node for node), so tests can check which heap and index
+/// scans a query ran.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScanSource {
     /// Heap sequential scan with a per-tuple predicate re-check.
@@ -694,6 +96,33 @@ impl ScanSource {
     }
 }
 
+impl From<&AccessPath> for ScanSource {
+    fn from(path: &AccessPath) -> Self {
+        let all = |inputs: &[AccessPath]| inputs.iter().map(ScanSource::from).collect();
+        match path {
+            AccessPath::SeqScan { .. } => ScanSource::Heap,
+            AccessPath::IndexScan { index, .. } => ScanSource::Index {
+                name: index.clone(),
+            },
+            AccessPath::OrderedScan { index, .. } => ScanSource::OrderedIndex {
+                name: index.clone(),
+            },
+            AccessPath::Filter { input, .. } => ScanSource::Filter {
+                input: Box::new(ScanSource::from(&**input)),
+            },
+            AccessPath::Intersect { inputs, .. } => ScanSource::Intersect {
+                inputs: all(inputs),
+            },
+            AccessPath::Union { inputs, .. } => ScanSource::Union {
+                inputs: all(inputs),
+            },
+            AccessPath::Limit { input, .. } => ScanSource::Limit {
+                input: Box::new(ScanSource::from(&**input)),
+            },
+        }
+    }
+}
+
 /// A streaming query result: `(row id, key datum)` pairs pulled lazily from
 /// the chosen access path.
 pub struct ExecCursor<'t> {
@@ -736,219 +165,9 @@ impl std::fmt::Debug for ExecCursor<'_> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Physical plans
-// ---------------------------------------------------------------------------
-
 /// Item type flowing between physical operators: a row id, plus the key
 /// datum when an upstream operator already fetched it from the heap.
 type RowStream<'t> = Box<dyn Iterator<Item = StorageResult<(RowId, Option<Datum>)>> + 't>;
-
-/// Everything leaf planning needs, derived once per query.
-struct PlanContext<'a> {
-    catalog: &'a Catalog,
-    stats: TableStats,
-    available: Vec<AvailableIndex>,
-}
-
-/// The executable physical operator tree: the [`AccessPath`] shape plus the
-/// actual predicate arguments each operator runs with.
-#[derive(Debug, Clone)]
-enum PhysNode {
-    SeqScan {
-        /// Predicate re-checked on every heap tuple.
-        filter: Predicate,
-        /// For ordered queries without an NN-capable index: the `@@` leaf
-        /// whose anchor distance sorts the output.
-        order: Option<Predicate>,
-        cost: CostEstimate,
-    },
-    IndexScan {
-        index: String,
-        operator_class: String,
-        leaf: Predicate,
-        cost: CostEstimate,
-    },
-    OrderedScan {
-        index: String,
-        operator_class: String,
-        leaf: Predicate,
-        cost: CostEstimate,
-    },
-    Filter {
-        input: Box<PhysNode>,
-        residual: Vec<Predicate>,
-        cost: CostEstimate,
-    },
-    Intersect {
-        inputs: Vec<PhysNode>,
-        cost: CostEstimate,
-    },
-    Union {
-        inputs: Vec<PhysNode>,
-        cost: CostEstimate,
-    },
-    Limit {
-        input: Box<PhysNode>,
-        k: usize,
-    },
-}
-
-impl PhysNode {
-    fn cost(&self) -> CostEstimate {
-        match self {
-            PhysNode::SeqScan { cost, .. }
-            | PhysNode::IndexScan { cost, .. }
-            | PhysNode::OrderedScan { cost, .. }
-            | PhysNode::Filter { cost, .. }
-            | PhysNode::Intersect { cost, .. }
-            | PhysNode::Union { cost, .. } => *cost,
-            PhysNode::Limit { input, .. } => input.cost(),
-        }
-    }
-
-    fn total_cost(&self) -> f64 {
-        self.cost().total_cost
-    }
-
-    fn uses_index(&self) -> bool {
-        match self {
-            PhysNode::SeqScan { .. } => false,
-            PhysNode::IndexScan { .. } | PhysNode::OrderedScan { .. } => true,
-            PhysNode::Filter { input, .. } | PhysNode::Limit { input, .. } => input.uses_index(),
-            PhysNode::Intersect { inputs, .. } | PhysNode::Union { inputs, .. } => {
-                inputs.iter().any(PhysNode::uses_index)
-            }
-        }
-    }
-
-    /// The planner-visible form of this plan (`EXPLAIN` output).
-    fn access_path(&self) -> AccessPath {
-        match self {
-            PhysNode::SeqScan { cost, .. } => AccessPath::SeqScan { cost: *cost },
-            PhysNode::IndexScan {
-                index,
-                operator_class,
-                cost,
-                ..
-            } => AccessPath::IndexScan {
-                index: index.clone(),
-                operator_class: operator_class.clone(),
-                cost: *cost,
-            },
-            PhysNode::OrderedScan {
-                index,
-                operator_class,
-                cost,
-                ..
-            } => AccessPath::OrderedScan {
-                index: index.clone(),
-                operator_class: operator_class.clone(),
-                cost: *cost,
-            },
-            PhysNode::Filter { input, cost, .. } => AccessPath::Filter {
-                input: Box::new(input.access_path()),
-                cost: *cost,
-            },
-            PhysNode::Intersect { inputs, cost } => AccessPath::Intersect {
-                inputs: inputs.iter().map(PhysNode::access_path).collect(),
-                cost: *cost,
-            },
-            PhysNode::Union { inputs, cost } => AccessPath::Union {
-                inputs: inputs.iter().map(PhysNode::access_path).collect(),
-                cost: *cost,
-            },
-            PhysNode::Limit { input, k } => AccessPath::Limit {
-                input: Box::new(input.access_path()),
-                k: *k,
-            },
-        }
-    }
-}
-
-/// Cost of re-checking `residual_count` predicates against the input's
-/// output rows.
-fn filter_cost(
-    input: &CostEstimate,
-    stats: &TableStats,
-    residual_count: usize,
-    output_selectivity: f64,
-) -> CostEstimate {
-    let input_rows = stats.rows as f64 * input.selectivity;
-    CostEstimate {
-        selectivity: output_selectivity.min(input.selectivity),
-        correlation: 0.0,
-        startup_cost: input.startup_cost,
-        total_cost: input.total_cost
-            + input_rows * CPU_OPERATOR_COST * residual_count.max(1) as f64,
-    }
-}
-
-/// Cost of intersecting several row-id streams: every non-driving input is
-/// drained into a hash set before the driver streams through the membership
-/// test, so their full costs land in the startup.
-fn intersect_cost(inputs: &[PhysNode], stats: &TableStats) -> CostEstimate {
-    let costs: Vec<CostEstimate> = inputs.iter().map(PhysNode::cost).collect();
-    let selectivity = costs.iter().map(|c| c.selectivity).product();
-    let hash_rows: f64 = costs
-        .iter()
-        .map(|c| stats.rows as f64 * c.selectivity)
-        .sum();
-    let total: f64 =
-        costs.iter().map(|c| c.total_cost).sum::<f64>() + hash_rows * CPU_OPERATOR_COST;
-    let driver_startup = costs.first().map_or(0.0, |c| c.startup_cost);
-    let side_total: f64 = costs.iter().skip(1).map(|c| c.total_cost).sum();
-    CostEstimate {
-        selectivity,
-        correlation: 0.0,
-        startup_cost: driver_startup + side_total,
-        total_cost: total,
-    }
-}
-
-/// Cost of a deduplicated union of several row-id streams.
-fn union_cost(inputs: &[PhysNode], stats: &TableStats) -> CostEstimate {
-    let costs: Vec<CostEstimate> = inputs.iter().map(PhysNode::cost).collect();
-    let selectivity = costs.iter().map(|c| c.selectivity).sum::<f64>().min(1.0);
-    let dedup_rows: f64 = costs
-        .iter()
-        .map(|c| stats.rows as f64 * c.selectivity)
-        .sum();
-    CostEstimate {
-        selectivity,
-        correlation: 0.0,
-        startup_cost: costs.first().map_or(0.0, |c| c.startup_cost),
-        total_cost: costs.iter().map(|c| c.total_cost).sum::<f64>()
-            + dedup_rows * CPU_OPERATOR_COST,
-    }
-}
-
-/// Rejects predicate trees whose `@@` leaves the executor cannot give a
-/// meaning to: an ordered leaf must be the whole query or a top-level
-/// conjunct (the *constrained k-NN* shape); under `Or`/`Not` there is no
-/// coherent output order.
-fn validate_ordered(predicate: &Predicate) -> StorageResult<()> {
-    let ok = match predicate {
-        leaf if leaf.is_ordered_leaf() => true,
-        Predicate::And(children) => {
-            children
-                .iter()
-                .filter(|c| c.contains_ordered())
-                .all(Predicate::is_ordered_leaf)
-                && children.iter().filter(|c| c.is_ordered_leaf()).count() <= 1
-        }
-        other => !other.contains_ordered(),
-    };
-    if ok {
-        Ok(())
-    } else {
-        Err(StorageError::Unsupported(
-            "`@@` (nearest) must be the whole predicate or a single top-level conjunct; \
-             it cannot appear under Or/Not or more than once"
-                .into(),
-        ))
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Table
@@ -1043,11 +262,14 @@ impl TableInner {
     /// stays allocated, dead), returning its datum; `None` when the row is
     /// not live.
     fn remove(&mut self, row: RowId) -> StorageResult<Option<Datum>> {
-        let Some(rid) = self.rows.get_mut(row as usize).and_then(Option::take) else {
+        let Some(rid) = self.rows.get(row as usize).copied().flatten() else {
             return Ok(None);
         };
-        let datum = Datum::decode_record(&self.heap.get(rid)?)?;
+        // Decoded before anything changes: a damaged record fails the
+        // delete and leaves the row as it was.
+        let datum = Datum::from_bytes(&self.heap.get(rid)?)?;
         self.heap.delete(rid)?;
+        self.rows[row as usize] = None;
         self.live_rows -= 1;
         self.dirty.mark_row(row);
         Ok(Some(datum))
@@ -1160,24 +382,6 @@ impl Table {
     /// is still exclusively owned (create, open-after-replay).
     pub(crate) fn attach_wal(&mut self, wal: Arc<Wal>) {
         self.wal = Some(wal);
-    }
-
-    /// Fails when the database's write-ahead log has been poisoned by an
-    /// I/O failure.  At that point the in-memory state may be ahead of
-    /// stable storage with no way to close the gap (the flusher is dead),
-    /// so the table stops serving queries rather than hand out rows whose
-    /// durability is unknown; DML is already rejected by `Wal::submit`.
-    /// Reopening the database recovers to the acknowledged-durable state.
-    fn check_wal_health(&self) -> StorageResult<()> {
-        match &self.wal {
-            Some(wal) => wal.health().map_err(|e| {
-                StorageError::Io(std::io::Error::other(format!(
-                    "database failed after a write-ahead log error \
-                     (reopen to recover): {e}"
-                )))
-            }),
-            None => Ok(()),
-        }
     }
 
     /// Acquires this table's DML lock for an external critical section.
@@ -1341,7 +545,7 @@ impl Table {
         if data.is_empty() {
             return Ok((Vec::new(), None));
         }
-        let records: Vec<Vec<u8>> = data.iter().map(Datum::encode_record).collect();
+        let records: Vec<Vec<u8>> = data.iter().map(Datum::to_bytes).collect();
         let dml = self.dml.lock();
         let first = self.inner.read().rows.len() as RowId;
         let rows: Vec<RowId> = (first..first + data.len() as RowId).collect();
@@ -1427,7 +631,7 @@ impl Table {
     pub(crate) fn replay_insert(&self, first_row: RowId, records: &[Vec<u8>]) -> StorageResult<()> {
         let datums = records
             .iter()
-            .map(|r| Datum::decode_record(r))
+            .map(|r| Datum::from_bytes(r))
             .collect::<StorageResult<Vec<_>>>()?;
         let _dml = self.dml.lock();
         let next = self.inner.read().rows.len() as RowId;
@@ -1467,7 +671,7 @@ impl Table {
             // first (statements are not isolated); leave it.
             return Ok(());
         }
-        self.place_and_index(row, vec![datum.clone()], vec![datum.encode_record()])
+        self.place_and_index(row, vec![datum.clone()], vec![datum.to_bytes()])
     }
 
     /// Places `records` at rows `first..` ([`TableInner::place`]), then
@@ -1547,15 +751,15 @@ impl Table {
     }
 
     /// [`Table::try_datum`] with an explicit buffer-pool [`AccessHint`].
-    /// Row-at-a-time scan loops (the parallel seq scan, index builds) pass
+    /// Row-at-a-time scan loops (the sequential scan, index builds) pass
     /// [`AccessHint::Scan`] so their one-touch heap pages stay out of the
     /// pool's protected set.
-    pub fn try_datum_hinted(&self, row: RowId, hint: AccessHint) -> StorageResult<Option<Datum>> {
+    fn try_datum_hinted(&self, row: RowId, hint: AccessHint) -> StorageResult<Option<Datum>> {
         let inner = self.inner.read();
         let Some(rid) = inner.rows.get(row as usize).copied().flatten() else {
             return Ok(None);
         };
-        Datum::decode_record(&inner.heap.get_hinted(rid, hint)?).map(Some)
+        Datum::from_bytes(&inner.heap.get_hinted(rid, hint)?).map(Some)
     }
 
     /// Builds a physical index described by `spec` over the existing heap
@@ -1568,7 +772,7 @@ impl Table {
     /// once.  The same scan seeds the planner's statistics with the
     /// **exact** live distinct-key count, replacing whatever session-local
     /// approximation had accumulated (first step on the planner-statistics
-    /// roadmap item), and the build's own [`TreeStats`] seed the planner's
+    /// roadmap item), and the build's own `TreeStats` seed the planner's
     /// page-height memo, so the first query plans without a tree walk.
     pub fn create_index(&mut self, name: &str, spec: IndexSpec) -> StorageResult<()> {
         if spec.key_type() != self.key_type {
@@ -1598,10 +802,8 @@ impl Table {
             // Seed exact planner statistics from the build scan: the scan
             // already visits every live key, so the distinct count stops
             // being a session-local approximation.
-            let distinct: HashSet<Vec<u8>> = items
-                .iter()
-                .map(|(datum, _)| datum.encode_record())
-                .collect();
+            let distinct: HashSet<Vec<u8>> =
+                items.iter().map(|(datum, _)| datum.to_bytes()).collect();
             {
                 let mut inner = self.inner.write();
                 inner.distinct = distinct;
@@ -1631,13 +833,14 @@ impl Table {
     /// durable DDL path can persist the index-less catalog first and free
     /// the pages only once the catalog no longer names them (re-attached on
     /// checkpoint failure).
-    fn detach_index(&mut self, name: &str) -> Option<NamedIndex> {
+    pub(crate) fn detach_index(&mut self, name: &str) -> Option<NamedIndex> {
         let pos = self.indexes.iter().position(|i| i.name == name)?;
         self.inner.get_mut().dirty.mutated = true;
         Some(self.indexes.remove(pos))
     }
 
-    fn attach_index(&mut self, named: NamedIndex) {
+    /// Re-attaches an index removed by [`Table::detach_index`].
+    pub(crate) fn attach_index(&mut self, named: NamedIndex) {
         self.inner.get_mut().dirty.mutated = true;
         self.indexes.push(named);
     }
@@ -1668,7 +871,7 @@ impl Table {
 
     /// The planner's view of the physical indexes: each index's live page
     /// count (O(1), never stale) and its page height from the last
-    /// [`TreeStats`] walk, re-walked only once the page count has doubled or
+    /// `TreeStats` walk, re-walked only once the page count has doubled or
     /// halved since (see `NamedIndex::planner_stats`).  Writes leave
     /// planner state alone, so planning after a write reads no index page.
     pub fn available_indexes(&self) -> StorageResult<Vec<AvailableIndex>> {
@@ -1691,7 +894,8 @@ impl Table {
     /// row-id intersections/unions; `@@` leaves route through ordered scans;
     /// a `LIMIT` is pushed down over the whole plan.
     pub fn plan(&self, catalog: &Catalog, query: impl Into<Query>) -> StorageResult<AccessPath> {
-        Ok(self.plan_phys(catalog, &query.into())?.access_path())
+        let query = query.into();
+        Ok(planner::plan_query(&self.plan_context(catalog, &query)?, &query)?.access_path())
     }
 
     /// Plans and executes `query`, returning a streaming cursor over the
@@ -1707,11 +911,13 @@ impl Table {
         catalog: &Catalog,
         query: impl Into<Query>,
     ) -> StorageResult<ExecCursor<'t>> {
-        self.check_wal_health()?;
-        let phys = self.plan_phys(catalog, &query.into())?;
+        check_wal_health(self.wal.as_deref())?;
+        let query = query.into();
+        let phys = planner::plan_query(&self.plan_context(catalog, &query)?, &query)?;
         let path = phys.access_path();
-        let (stream, source) = self.execute_node(&phys)?;
-        let inner = stream
+        let source = ScanSource::from(&path);
+        let inner = self
+            .execute_node(&phys)?
             .map(move |item| -> StorageResult<Option<(RowId, Datum)>> {
                 let (row, datum) = item?;
                 match datum {
@@ -1729,465 +935,31 @@ impl Table {
         })
     }
 
-    /// Plans and executes `query` with up to `n_threads` worker threads,
-    /// materializing the matching `(row id, key)` pairs.
-    ///
-    /// Parallelism applies where the plan shape allows it and the cost
-    /// model says the table is large enough to amortize thread startup
-    /// ([`CostEstimate::parallel_seq_scan`]):
-    ///
-    /// * an unordered, un-`LIMIT`ed **sequential scan** partitions the
-    ///   row-id range into contiguous chunks, one worker per chunk, and
-    ///   concatenates the chunk results — deterministically equal to the
-    ///   serial scan's row-id order (a limited scan stays serial: streaming
-    ///   stops at `k`, a chunked scan cannot);
-    /// * an un-`LIMIT`ed **intersection** evaluates every participating
-    ///   input's row-id stream on its own worker, intersects the sets, and
-    ///   reports rows in ascending row-id order (again deterministic).  A
-    ///   limited intersection stays serial: the parallel set-build reports
-    ///   the `k` lowest row ids, which is a valid but *different* subset
-    ///   than the serial driver order.
-    ///
-    /// Everything else (ordered scans, unions, index-driven filters, small
-    /// tables) falls back to the serial streaming path with identical
-    /// results.
-    pub fn query_parallel(
+    /// What the planner needs to plan `query` here: this table's statistics
+    /// and indexes, once the predicate's key type is checked against the
+    /// table's.
+    fn plan_context<'c>(
         &self,
-        catalog: &Catalog,
-        query: impl Into<Query>,
-        n_threads: usize,
-    ) -> StorageResult<Vec<(RowId, Datum)>> {
-        self.check_wal_health()?;
-        let query = query.into();
-        let n_threads = n_threads.max(1);
-        if n_threads > 1 {
-            let phys = self.plan_phys(catalog, &query)?;
-            let (node, limit) = match &phys {
-                PhysNode::Limit { input, k } => (&**input, Some(*k)),
-                node => (node, None),
-            };
-            match node {
-                // A LIMIT-bearing seq scan stays serial: the streaming path
-                // stops after `k` matches, while a chunked parallel scan
-                // would filter the whole table before truncating.
-                PhysNode::SeqScan {
-                    filter,
-                    order: None,
-                    ..
-                } if limit.is_none() && self.parallel_seq_scan_pays(n_threads) => {
-                    return self.par_seq_scan(filter, n_threads);
-                }
-                // Like the seq scan, a LIMIT-bearing intersection stays
-                // serial: truncating the parallel set-build's ascending
-                // row-id order would return the k *lowest* row ids, a valid
-                // but different subset than the serial driver produces.
-                PhysNode::Intersect { inputs, cost }
-                    if limit.is_none()
-                        && CostEstimate::parallel_pays(
-                            cost.total_cost,
-                            n_threads.min(inputs.len()),
-                        ) =>
-                {
-                    return self.par_intersect(inputs, &[], n_threads);
-                }
-                PhysNode::Filter {
-                    input, residual, ..
-                } if limit.is_none() => {
-                    if let PhysNode::Intersect { inputs, cost } = &**input {
-                        if CostEstimate::parallel_pays(cost.total_cost, n_threads.min(inputs.len()))
-                        {
-                            return self.par_intersect(inputs, residual, n_threads);
-                        }
-                    }
-                }
-                _ => {}
-            }
+        catalog: &'c Catalog,
+        query: &Query,
+    ) -> StorageResult<PlanContext<'c>> {
+        if let Some(kt) = query.predicate.key_type().filter(|&kt| kt != self.key_type) {
+            return Err(StorageError::Unsupported(format!(
+                "predicate over {} cannot run on table {:?} of type {}",
+                kt.name(),
+                self.name,
+                self.key_type.name()
+            )));
         }
-        self.query(catalog, query)?.collect()
-    }
-
-    /// Whether a parallel sequential scan over this table beats the serial
-    /// one under the cost model.
-    fn parallel_seq_scan_pays(&self, n_threads: usize) -> bool {
-        let stats = self.table_stats();
-        CostEstimate::parallel_seq_scan(&stats, n_threads).total_cost
-            < CostEstimate::seq_scan(&stats).total_cost
-    }
-
-    /// Partitions the row-id range into contiguous chunks and filters each
-    /// on its own scoped worker thread.  Chunk results concatenate in chunk
-    /// order, so the output matches the serial scan exactly.
-    fn par_seq_scan(
-        &self,
-        filter: &Predicate,
-        n_threads: usize,
-    ) -> StorageResult<Vec<(RowId, Datum)>> {
-        let row_count = self.inner.read().rows.len();
-        let workers = n_threads.min(row_count.max(1));
-        let chunk = row_count.div_ceil(workers);
-        let partials: Vec<StorageResult<Vec<(RowId, Datum)>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let lo = w * chunk;
-                    let hi = (lo + chunk).min(row_count);
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        for row in lo..hi {
-                            let row = row as RowId;
-                            // One-touch heap pages: scan-hinted so parallel
-                            // workers do not flush the index working set.
-                            if let Some(datum) = self.try_datum_hinted(row, AccessHint::Scan)? {
-                                if filter.matches(&datum) {
-                                    out.push((row, datum));
-                                }
-                            }
-                        }
-                        Ok(out)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("parallel scan worker panicked"))
-                .collect()
-        });
-        let mut rows = Vec::new();
-        for part in partials {
-            rows.extend(part?);
-        }
-        Ok(rows)
-    }
-
-    /// Evaluates every intersection input's row-id stream on its own scoped
-    /// worker, intersects the sets, applies `residual` re-checks, and
-    /// reports surviving rows in ascending row-id order.
-    fn par_intersect(
-        &self,
-        inputs: &[PhysNode],
-        residual: &[Predicate],
-        n_threads: usize,
-    ) -> StorageResult<Vec<(RowId, Datum)>> {
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<StorageResult<HashSet<RowId>>>>> =
-            inputs.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..n_threads.min(inputs.len()) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(node) = inputs.get(i) else { break };
-                    let result = self.execute_node(node).and_then(|(stream, _)| {
-                        let mut set = HashSet::new();
-                        for item in stream {
-                            set.insert(item?.0);
-                        }
-                        Ok(set)
-                    });
-                    *slots[i].lock() = Some(result);
-                });
-            }
-        });
-        let mut sets = Vec::with_capacity(inputs.len());
-        for slot in slots {
-            sets.push(slot.into_inner().expect("every input slot is filled")?);
-        }
-        // Intersect starting from the smallest set; sort for a
-        // deterministic output order.
-        sets.sort_by_key(HashSet::len);
-        let (first, rest) = sets.split_first().expect("intersection of >= 2 inputs");
-        let mut rows: Vec<RowId> = first
-            .iter()
-            .copied()
-            .filter(|row| rest.iter().all(|set| set.contains(row)))
-            .collect();
-        rows.sort_unstable();
-        let mut out = Vec::with_capacity(rows.len());
-        for row in rows {
-            if let Some(datum) = self.try_datum(row)? {
-                if residual.iter().all(|p| p.matches(&datum)) {
-                    out.push((row, datum));
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    // ------------------------------------------------------------------
-    // Planning (logical predicate tree → physical operator tree)
-    // ------------------------------------------------------------------
-
-    /// Plans `query` into an executable physical operator tree.
-    fn plan_phys(&self, catalog: &Catalog, query: &Query) -> StorageResult<PhysNode> {
-        match query.predicate.key_type() {
-            Some(kt) if kt != self.key_type => {
-                return Err(StorageError::Unsupported(format!(
-                    "predicate over {} cannot run on table {:?} of type {}",
-                    kt.name(),
-                    self.name,
-                    self.key_type.name()
-                )));
-            }
-            None if query.predicate.has_leaves() => {
-                return Err(StorageError::Unsupported(
-                    "predicate tree mixes key types".into(),
-                ));
-            }
-            _ => {}
-        }
-        validate_ordered(&query.predicate)?;
-        let ctx = PlanContext {
+        Ok(PlanContext {
             catalog,
             stats: self.table_stats(),
             available: self.available_indexes()?,
-        };
-        let node = self.plan_node(&ctx, &query.predicate, query.limit)?;
-        Ok(match query.limit {
-            Some(k) => PhysNode::Limit {
-                input: Box::new(node),
-                k,
-            },
-            None => node,
-        })
-    }
-
-    /// Recursively plans one predicate subtree.  `limit` is the pushed-down
-    /// `LIMIT` when this subtree's output is the query's output (it caps
-    /// ordered-scan cost estimates; execution is lazy regardless).
-    fn plan_node(
-        &self,
-        ctx: &PlanContext<'_>,
-        predicate: &Predicate,
-        limit: Option<usize>,
-    ) -> StorageResult<PhysNode> {
-        match predicate {
-            Predicate::And(children) => self.plan_and(ctx, predicate, children, limit),
-            Predicate::Or(children) => self.plan_or(ctx, predicate, children),
-            // Negation cannot enumerate its complement from an index.
-            Predicate::Not(_) => Ok(self.seq_scan_node(ctx, predicate)),
-            leaf => self.plan_leaf(ctx, leaf, limit),
-        }
-    }
-
-    /// Plans a leaf predicate: the classic one-operator access-path choice,
-    /// ordered (`@@`) leaves going through [`Planner::plan_ordered`].
-    fn plan_leaf(
-        &self,
-        ctx: &PlanContext<'_>,
-        leaf: &Predicate,
-        limit: Option<usize>,
-    ) -> StorageResult<PhysNode> {
-        let qp = leaf.to_query_predicate().ok_or_else(|| {
-            StorageError::Unsupported("composite predicate where a leaf was expected".into())
-        })?;
-        let planner = Planner::new(ctx.catalog);
-        let path = if leaf.is_ordered_leaf() {
-            planner.plan_ordered(&qp, &ctx.stats, &ctx.available, limit)
-        } else {
-            planner.plan(&qp, &ctx.stats, &ctx.available)
-        };
-        Ok(match path {
-            AccessPath::IndexScan {
-                index,
-                operator_class,
-                cost,
-            } => PhysNode::IndexScan {
-                index,
-                operator_class,
-                leaf: leaf.clone(),
-                cost,
-            },
-            AccessPath::OrderedScan {
-                index,
-                operator_class,
-                cost,
-            } => PhysNode::OrderedScan {
-                index,
-                operator_class,
-                leaf: leaf.clone(),
-                cost,
-            },
-            _ => self.seq_scan_node(ctx, leaf),
-        })
-    }
-
-    /// The always-available fallback: scan the heap, re-check `predicate` on
-    /// every tuple — and, for ordered queries, sort by anchor distance
-    /// before reporting (which is why the planner prices it with the
-    /// scan-and-sort estimate).
-    fn seq_scan_node(&self, ctx: &PlanContext<'_>, predicate: &Predicate) -> PhysNode {
-        let order = predicate.ordered_driver().cloned();
-        let cost = if order.is_some() {
-            CostEstimate::seq_scan_sorted(&ctx.stats)
-        } else {
-            CostEstimate::seq_scan(&ctx.stats)
-        };
-        PhysNode::SeqScan {
-            filter: predicate.clone(),
-            order,
-            cost,
-        }
-    }
-
-    /// Plans a conjunction: pick a driving scan (the cheapest indexable
-    /// conjunct — or the ordered scan when one conjunct is a `@@` leaf),
-    /// apply the remaining conjuncts as a residual filter, and consider
-    /// intersecting several index scans' row-id streams when more than one
-    /// conjunct is indexable.  The sequential scan always competes.
-    fn plan_and(
-        &self,
-        ctx: &PlanContext<'_>,
-        whole: &Predicate,
-        children: &[Predicate],
-        limit: Option<usize>,
-    ) -> StorageResult<PhysNode> {
-        // Constrained k-NN: one `@@` conjunct drives an ordered scan, the
-        // other conjuncts filter it (order survives filtering).
-        if let Some(driver_idx) = children.iter().position(Predicate::is_ordered_leaf) {
-            let residual: Vec<Predicate> = children
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != driver_idx)
-                .map(|(_, c)| c.clone())
-                .collect();
-            // A residual that keeps only fraction `s` of rows means the
-            // ordered scan must report roughly k/s rows before k survive —
-            // cost the scan at that inflated limit, and keep the sorted
-            // heap fallback in the running for unselective drivers.
-            let residual_sel = Predicate::And(residual.clone())
-                .estimate_selectivity(&ctx.stats)
-                .max(1e-9);
-            let effective_limit = limit.map(|k| ((k as f64 / residual_sel).ceil() as usize).max(k));
-            let driver = self.plan_leaf(ctx, &children[driver_idx], effective_limit)?;
-            if residual.is_empty() {
-                return Ok(driver);
-            }
-            return Ok(match driver {
-                ordered @ PhysNode::OrderedScan { .. } => {
-                    let cost = filter_cost(
-                        &ordered.cost(),
-                        &ctx.stats,
-                        residual.len(),
-                        whole.estimate_selectivity(&ctx.stats),
-                    );
-                    let filtered = PhysNode::Filter {
-                        input: Box::new(ordered),
-                        residual,
-                        cost,
-                    };
-                    let fallback = self.seq_scan_node(ctx, whole);
-                    if filtered.total_cost() <= fallback.total_cost() {
-                        filtered
-                    } else {
-                        fallback
-                    }
-                }
-                // No ordered index: the sorted heap fallback filters inline.
-                _ => self.seq_scan_node(ctx, whole),
-            });
-        }
-
-        let seq = self.seq_scan_node(ctx, whole);
-        let mut indexable: Vec<(usize, PhysNode)> = Vec::new();
-        for (i, child) in children.iter().enumerate() {
-            let node = self.plan_node(ctx, child, None)?;
-            if node.uses_index() {
-                indexable.push((i, node));
-            }
-        }
-        if indexable.is_empty() {
-            return Ok(seq);
-        }
-
-        let output_sel = whole.estimate_selectivity(&ctx.stats);
-        // Strategy A — drive with the cheapest indexable conjunct, re-check
-        // the rest against the fetched tuples.
-        let (driver_idx, driver) = indexable
-            .iter()
-            .min_by(|(_, a), (_, b)| a.total_cost().total_cmp(&b.total_cost()))
-            .map(|(i, n)| (*i, n.clone()))
-            .expect("indexable is non-empty");
-        let residual: Vec<Predicate> = children
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != driver_idx)
-            .map(|(_, c)| c.clone())
-            .collect();
-        let filter_plan = if residual.is_empty() {
-            driver
-        } else {
-            let cost = filter_cost(&driver.cost(), &ctx.stats, residual.len(), output_sel);
-            PhysNode::Filter {
-                input: Box::new(driver),
-                residual,
-                cost,
-            }
-        };
-
-        // Strategy B — intersect every indexable conjunct's row-id stream,
-        // then re-check only the non-indexable leftovers.
-        let intersect_plan = (indexable.len() >= 2).then(|| {
-            let member: HashSet<usize> = indexable.iter().map(|(i, _)| *i).collect();
-            let inputs: Vec<PhysNode> = indexable.into_iter().map(|(_, n)| n).collect();
-            let cost = intersect_cost(&inputs, &ctx.stats);
-            let node = PhysNode::Intersect { inputs, cost };
-            let residual: Vec<Predicate> = children
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !member.contains(i))
-                .map(|(_, c)| c.clone())
-                .collect();
-            if residual.is_empty() {
-                node
-            } else {
-                let cost = filter_cost(&node.cost(), &ctx.stats, residual.len(), output_sel);
-                PhysNode::Filter {
-                    input: Box::new(node),
-                    residual,
-                    cost,
-                }
-            }
-        });
-
-        let mut best = seq;
-        for candidate in [Some(filter_plan), intersect_plan].into_iter().flatten() {
-            if candidate.total_cost() < best.total_cost() {
-                best = candidate;
-            }
-        }
-        Ok(best)
-    }
-
-    /// Plans a disjunction: a deduplicated union of the disjuncts' plans —
-    /// unless any disjunct needs the heap anyway (then one sequential scan
-    /// answers everything) or the union costs more than the scan.
-    fn plan_or(
-        &self,
-        ctx: &PlanContext<'_>,
-        whole: &Predicate,
-        children: &[Predicate],
-    ) -> StorageResult<PhysNode> {
-        let seq = self.seq_scan_node(ctx, whole);
-        let mut inputs = Vec::new();
-        for child in children {
-            let node = self.plan_node(ctx, child, None)?;
-            if !node.uses_index() {
-                return Ok(seq);
-            }
-            inputs.push(node);
-        }
-        if inputs.is_empty() {
-            return Ok(seq);
-        }
-        let cost = union_cost(&inputs, &ctx.stats);
-        let union = PhysNode::Union { inputs, cost };
-        Ok(if union.total_cost() < seq.total_cost() {
-            union
-        } else {
-            seq
         })
     }
 
     // ------------------------------------------------------------------
-    // Execution (physical operator tree → streaming cursor)
+    // Execution (physical operator tree → row stream)
     // ------------------------------------------------------------------
 
     fn named_index(&self, name: &str) -> StorageResult<&NamedIndex> {
@@ -2209,98 +981,58 @@ impl Table {
         })
     }
 
-    /// The [`ScanSource`] tree a physical operator dispatches to, derived
-    /// from the plan shape (used where execution is lazy and the source
-    /// must be known before every input has opened).
-    fn scan_source(&self, node: &PhysNode) -> ScanSource {
+    /// Turns one physical operator into its row stream.  Streams carry the
+    /// key datum when the operator already fetched it, so downstream
+    /// operators and the cursor never read the heap twice for one row.
+    fn execute_node<'t>(&'t self, node: &PhysNode) -> StorageResult<RowStream<'t>> {
         match node {
-            PhysNode::SeqScan { .. } => ScanSource::Heap,
-            PhysNode::IndexScan { index, .. } => ScanSource::Index {
-                name: index.clone(),
-            },
-            PhysNode::OrderedScan { index, .. } => ScanSource::OrderedIndex {
-                name: index.clone(),
-            },
-            PhysNode::Filter { input, .. } => ScanSource::Filter {
-                input: Box::new(self.scan_source(input)),
-            },
-            PhysNode::Intersect { inputs, .. } => ScanSource::Intersect {
-                inputs: inputs.iter().map(|n| self.scan_source(n)).collect(),
-            },
-            PhysNode::Union { inputs, .. } => ScanSource::Union {
-                inputs: inputs.iter().map(|n| self.scan_source(n)).collect(),
-            },
-            PhysNode::Limit { input, .. } => ScanSource::Limit {
-                input: Box::new(self.scan_source(input)),
-            },
-        }
-    }
-
-    /// Turns one physical operator into its row stream, recording the
-    /// [`ScanSource`] tree actually dispatched to (which tests compare with
-    /// the planned [`AccessPath`]).  Streams carry the key datum when the
-    /// operator already fetched it, so downstream operators and the cursor
-    /// never read the heap twice for one row.
-    fn execute_node<'t>(&'t self, node: &PhysNode) -> StorageResult<(RowStream<'t>, ScanSource)> {
-        match node {
-            PhysNode::SeqScan { filter, order, .. } => {
-                let filter = filter.clone();
-                match order.clone() {
-                    Some(order) => {
-                        // Ordered fallback: nothing can stream before the
-                        // full scan-and-sort (exactly what the cost model
-                        // charges for).
-                        let mut rows: Vec<(f64, RowId, Datum)> = Vec::new();
-                        for item in self.heap_stream() {
-                            let (row, datum) = item?;
-                            if filter.matches(&datum) {
-                                rows.push((order.distance(&datum), row, datum));
-                            }
-                        }
-                        rows.sort_by(|a, b| a.0.total_cmp(&b.0));
-                        let inner = rows
-                            .into_iter()
-                            .map(|(_, row, datum)| Ok((row, Some(datum))));
-                        Ok((Box::new(inner), ScanSource::Heap))
-                    }
-                    None => {
-                        let inner = self.heap_stream().filter_map(move |item| match item {
-                            Err(e) => Some(Err(e)),
-                            Ok((row, datum)) if filter.matches(&datum) => {
-                                Some(Ok((row, Some(datum))))
-                            }
-                            Ok(_) => None,
-                        });
-                        Ok((Box::new(inner), ScanSource::Heap))
+            PhysNode::SeqScan {
+                filter,
+                order: Some(order),
+                ..
+            } => {
+                // Ordered fallback: nothing can stream before the full
+                // scan-and-sort (exactly what the cost model charges for).
+                let mut rows: Vec<(f64, RowId, Datum)> = Vec::new();
+                for item in self.heap_stream() {
+                    let (row, datum) = item?;
+                    if filter.matches(&datum) {
+                        rows.push((order.distance(&datum), row, datum));
                     }
                 }
+                rows.sort_by(|a, b| a.0.total_cmp(&b.0));
+                let inner = rows
+                    .into_iter()
+                    .map(|(_, row, datum)| Ok((row, Some(datum))));
+                Ok(Box::new(inner))
+            }
+            PhysNode::SeqScan {
+                filter,
+                order: None,
+                ..
+            } => {
+                let filter = filter.clone();
+                let inner = self.heap_stream().filter_map(move |item| match item {
+                    Err(e) => Some(Err(e)),
+                    Ok((row, datum)) if filter.matches(&datum) => Some(Ok((row, Some(datum)))),
+                    Ok(_) => None,
+                });
+                Ok(Box::new(inner))
             }
             PhysNode::IndexScan { index, leaf, .. } => {
-                let named = self.named_index(index)?;
-                let rows = named.index.scan(leaf)?;
-                Ok((
-                    Box::new(rows.map(|item| item.map(|row| (row, None)))),
-                    ScanSource::Index {
-                        name: named.name.clone(),
-                    },
-                ))
+                let rows = self.named_index(index)?.index.scan(leaf)?;
+                Ok(Box::new(rows.map(|item| item.map(|row| (row, None)))))
             }
             PhysNode::OrderedScan { index, leaf, .. } => {
-                let named = self.named_index(index)?;
-                let rows = named.index.ordered_scan(leaf)?;
-                Ok((
-                    Box::new(rows.map(|item| item.map(|row| (row, None)))),
-                    ScanSource::OrderedIndex {
-                        name: named.name.clone(),
-                    },
-                ))
+                let rows = self.named_index(index)?.index.ordered_scan(leaf)?;
+                Ok(Box::new(rows.map(|item| item.map(|row| (row, None)))))
             }
             PhysNode::Filter {
                 input, residual, ..
             } => {
-                let (stream, source) = self.execute_node(input)?;
                 let residual = residual.clone();
-                let inner = stream
+                let inner = self
+                    .execute_node(input)?
                     .map(
                         move |item| -> StorageResult<Option<(RowId, Option<Datum>)>> {
                             let (row, datum) = item?;
@@ -2319,17 +1051,11 @@ impl Table {
                         },
                     )
                     .filter_map(StorageResult::transpose);
-                Ok((
-                    Box::new(inner),
-                    ScanSource::Filter {
-                        input: Box::new(source),
-                    },
-                ))
+                Ok(Box::new(inner))
             }
             PhysNode::Intersect { inputs, .. } => {
-                let mut nodes = inputs.iter();
-                let first = nodes
-                    .next()
+                let (first, rest) = inputs
+                    .split_first()
                     .ok_or_else(|| StorageError::Unsupported("empty intersection plan".into()))?;
                 // Materialize every non-driving row-id set (ids only — no
                 // heap fetches) before opening the driver cursor.  Cursors
@@ -2338,24 +1064,19 @@ impl Table {
                 // input before the next opens still keeps at most one epoch
                 // pinned at a time, so writers' retired pages reclaim
                 // promptly even under long intersections.
-                let mut sets: Vec<HashSet<RowId>> = Vec::new();
-                let mut sources = Vec::with_capacity(inputs.len());
-                for node in nodes {
-                    let (stream, source) = self.execute_node(node)?;
-                    sources.push(source);
+                let mut sets: Vec<HashSet<RowId>> = Vec::with_capacity(rest.len());
+                for node in rest {
                     let mut set = HashSet::new();
-                    for item in stream {
+                    for item in self.execute_node(node)? {
                         set.insert(item?.0);
                     }
                     sets.push(set);
                 }
-                let (driver, driver_source) = self.execute_node(first)?;
-                sources.insert(0, driver_source);
-                let inner = driver.filter(move |item| match item {
+                let inner = self.execute_node(first)?.filter(move |item| match item {
                     Ok((row, _)) => sets.iter().all(|set| set.contains(row)),
                     Err(_) => true,
                 });
-                Ok((Box::new(inner), ScanSource::Intersect { inputs: sources }))
+                Ok(Box::new(inner))
             }
             PhysNode::Union { inputs, .. } => {
                 // Each input's cursor opens only when the previous one is
@@ -2364,10 +1085,6 @@ impl Table {
                 // longer deadlock against a writer — sequencing them is now
                 // purely about keeping one epoch pinned at a time so
                 // writers' retired pages reclaim promptly.
-                // The dispatched sources are derived from the plan shape,
-                // which is what execution follows by construction.
-                let sources: Vec<ScanSource> =
-                    inputs.iter().map(|node| self.scan_source(node)).collect();
                 let mut pending = inputs.clone().into_iter();
                 let mut current: Option<RowStream<'t>> = None;
                 let chained = std::iter::from_fn(move || loop {
@@ -2379,7 +1096,7 @@ impl Table {
                     }
                     let node = pending.next()?;
                     match self.execute_node(&node) {
-                        Ok((stream, _)) => current = Some(stream),
+                        Ok(stream) => current = Some(stream),
                         Err(e) => return Some(Err(e)),
                     }
                 })
@@ -2388,18 +1105,28 @@ impl Table {
                 // rows may satisfy another disjunct too).
                 let inner = spgist_indexes::Cursor::deduplicated(chained)
                     .map(|item| item.map(|(datum, row)| (row, datum)));
-                Ok((Box::new(inner), ScanSource::Union { inputs: sources }))
+                Ok(Box::new(inner))
             }
-            PhysNode::Limit { input, k } => {
-                let (stream, source) = self.execute_node(input)?;
-                Ok((
-                    Box::new(stream.take(*k)),
-                    ScanSource::Limit {
-                        input: Box::new(source),
-                    },
-                ))
-            }
+            PhysNode::Limit { input, k } => Ok(Box::new(self.execute_node(input)?.take(*k))),
         }
+    }
+}
+
+/// Fails when the database's write-ahead log has been poisoned by an I/O
+/// failure.  At that point the in-memory state may be ahead of stable
+/// storage with no way to close the gap (the flusher is dead), so queries
+/// and new transactions are refused rather than hand out rows whose
+/// durability is unknown; DML is already rejected by `Wal::submit`.
+/// Reopening the database recovers to the acknowledged-durable state.
+pub(crate) fn check_wal_health(wal: Option<&Wal>) -> StorageResult<()> {
+    match wal {
+        Some(wal) => wal.health().map_err(|e| {
+            StorageError::Io(std::io::Error::other(format!(
+                "database failed after a write-ahead log error \
+                 (reopen to recover): {e}"
+            )))
+        }),
+        None => Ok(()),
     }
 }
 
@@ -2414,1154 +1141,30 @@ impl std::fmt::Debug for Table {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Database
-// ---------------------------------------------------------------------------
-
-/// The top-level facade: a catalog, a shared buffer pool and named tables.
-///
-/// Tables live behind `Arc`s: [`Database::table_handle`] clones out a
-/// `Send + Sync` handle for concurrent DML and queries on other threads,
-/// while [`Database::table_mut`] grants the exclusive access DDL needs (and
-/// fails while handles are outstanding).
-///
-/// ```
-/// use spgist_catalog::exec::{Database, IndexSpec, KeyType, Predicate};
-///
-/// let mut db = Database::in_memory();
-/// db.create_table("words", KeyType::Varchar).unwrap();
-/// let table = db.table_mut("words").unwrap();
-/// table.insert("space").unwrap();
-/// table.insert("spade").unwrap();
-/// table.create_index("words_trie", IndexSpec::Trie).unwrap();
-/// let rows = db
-///     .query("words", &Predicate::str_prefix("sp"))
-///     .unwrap()
-///     .rows()
-///     .unwrap();
-/// assert_eq!(rows.len(), 2);
-/// ```
-pub struct Database {
-    catalog: Catalog,
-    pool: Arc<BufferPool>,
-    tables: BTreeMap<String, Arc<Table>>,
-    /// On-disk layout of the chunked catalog (which pages hold the root,
-    /// each table's metadata, and each row/heap chunk) when this database
-    /// is durable (created with [`Database::create`] or
-    /// [`Database::open`]); `None` for in-memory databases, whose DDL
-    /// skips catalog persistence.
-    layout: Option<CatalogLayout>,
-    /// Running checkpoint counters (chunks written/skipped, bytes, quiesce
-    /// time) — the incremental-checkpoint analog of the pool's `IoStats`.
-    ckpt_stats: CheckpointStats,
-    /// The write-ahead log of a durable database.  Every acknowledged DML
-    /// statement has its redo record fsynced here before the call returns;
-    /// [`Database::open`] replays records past the catalog's checkpoint
-    /// LSN, so acknowledged writes survive a crash — even dropping the
-    /// database without [`Database::close`] loses nothing acknowledged.
-    wal: Option<Arc<Wal>>,
-    /// Checkpoint pre-image journal path of a durable database
-    /// (`<wal prefix>.ckpt`).  [`Database::checkpoint`] journals the
-    /// on-disk image of every page it is about to overwrite before the
-    /// first in-place write; [`Database::open`] rolls a surviving journal
-    /// back, so a crash anywhere inside a checkpoint recovers the exact
-    /// previous checkpoint plus the still-un-pruned log.
-    journal: Option<PathBuf>,
-    /// Next transaction id to hand out.  Seeded past the largest id
-    /// surviving in the log at open, so a new transaction can never collide
-    /// with records of an older incarnation still awaiting pruning (a
-    /// collision would let an old `CommitTxn` adopt a new loser's
-    /// statements during a later replay).
-    next_txn: AtomicU64,
-    /// Number of open [`Transaction`] handles.  The checkpoint protocol
-    /// refuses to run while this is nonzero: the pool is no-steal, and a
-    /// checkpoint taken mid-transaction would flush uncommitted work into
-    /// the data file *and* cut the log below the records recovery needs to
-    /// drop it.  In safe code the borrow checker already forbids the
-    /// combination (`begin` borrows the database shared, `checkpoint` needs
-    /// it exclusively); the counter keeps the invariant enforced for
-    /// test-only escape hatches like [`Transaction::crash_for_test`].
-    open_txns: AtomicU64,
-}
-
-/// WAL segment file prefix for the database at `path`: segments are
-/// `<path>.wal.<seq>` siblings of the database file.
-fn wal_prefix(path: &Path) -> PathBuf {
-    let mut os = path.as_os_str().to_os_string();
-    os.push(".wal");
-    PathBuf::from(os)
-}
-
-/// Checkpoint pre-image journal path for the log at `wal_path`:
-/// `<wal_path>.ckpt`, a sibling of the segments (the non-numeric suffix
-/// keeps it out of the segment scan).
-fn journal_path(wal_path: &Path) -> PathBuf {
-    let mut os = wal_path.as_os_str().to_os_string();
-    os.push(".ckpt");
-    PathBuf::from(os)
-}
-
-impl Database {
-    /// A database on an in-memory buffer pool with the paper's catalog
-    /// registrations.
-    pub fn in_memory() -> Self {
-        Self::with_pool(BufferPool::in_memory())
-    }
-
-    /// [`Database::in_memory`] with an explicit buffer-pool configuration —
-    /// the in-memory counterpart of [`Database::create_with_config`].
-    ///
-    /// A bounded capacity makes eviction observable at in-memory speeds, so
-    /// an eviction-bounded bulk build (a `CREATE INDEX` whose working set
-    /// exceeds the pool) can be demonstrated without a file.
-    pub fn in_memory_with_config(config: BufferPoolConfig) -> Self {
-        Self::with_pool(Arc::new(BufferPool::new(Arc::new(MemPager::new()), config)))
-    }
-
-    /// A database over an explicit buffer pool (e.g. file-backed).  The
-    /// database is *not* durable — its catalog lives only in memory; use
-    /// [`Database::create`] / [`Database::open`] for a reopenable database.
-    pub fn with_pool(pool: Arc<BufferPool>) -> Self {
-        Database {
-            catalog: Catalog::with_paper_defaults(),
-            pool,
-            tables: BTreeMap::new(),
-            layout: None,
-            wal: None,
-            journal: None,
-            next_txn: AtomicU64::new(1),
-            open_txns: AtomicU64::new(0),
-            ckpt_stats: CheckpointStats::default(),
-        }
-    }
-
-    /// Creates a durable database in a fresh file at `path`, with a
-    /// write-ahead log in `<path>.wal.*` siblings.  The catalog meta-table
-    /// is rooted at the file's first logical page and written through on
-    /// every DDL statement; every acknowledged DML statement is fsynced to
-    /// the log before its call returns, so a reopen after a crash recovers
-    /// it (see [`Database::open`]).
-    pub fn create<P: AsRef<Path>>(path: P) -> StorageResult<Self> {
-        Self::create_with_config(path, BufferPoolConfig::default())
-    }
-
-    /// [`Database::create`] with an explicit buffer-pool configuration.
-    ///
-    /// Refuses to overwrite an existing file: creating where a database
-    /// already lives would silently destroy it — open it with
-    /// [`Database::open`] or delete the file first.
-    pub fn create_with_config<P: AsRef<Path>>(
-        path: P,
-        config: BufferPoolConfig,
-    ) -> StorageResult<Self> {
-        Self::create_with_wal_config(path, config, WalConfig::default())
-    }
-
-    /// [`Database::create_with_config`] with an explicit WAL configuration
-    /// (group-commit window, batch bound, segment size) — the knobs the
-    /// commit-throughput experiments turn.
-    pub fn create_with_wal_config<P: AsRef<Path>>(
-        path: P,
-        config: BufferPoolConfig,
-        wal_config: WalConfig,
-    ) -> StorageResult<Self> {
-        let path = path.as_ref();
-        if path.exists() {
-            return Err(StorageError::Unsupported(format!(
-                "refusing to create database over existing file {path:?}; \
-                 open it with Database::open or remove it first"
-            )));
-        }
-        let pager = Arc::new(FilePager::create(path)?);
-        Self::create_with_pager(pager, wal_prefix(path), config, wal_config)
-    }
-
-    /// Creates a durable database over an arbitrary pager — the hook the
-    /// crash-recovery suites use to interpose a fault-injection pager
-    /// (`spgist_storage::FaultPager`) between the executor and the file.
-    /// WAL segments are created at `<wal_path>.<seq>`; the log always
-    /// writes its own files directly (its fsyncs are the commit point and
-    /// cannot go through a pager that might lie about them).
-    pub fn create_with_pager(
-        pager: Arc<dyn spgist_storage::Pager>,
-        wal_path: impl AsRef<Path>,
-        config: BufferPoolConfig,
-        wal_config: WalConfig,
-    ) -> StorageResult<Self> {
-        // Durable databases run the pool in no-steal mode: between
-        // checkpoints no data page reaches the file, so after a crash the
-        // file holds exactly the state the log's replay starts from.
-        let config = BufferPoolConfig {
-            steal: false,
-            ..config
-        };
-        // A stale journal from a previous database at this path must be
-        // deleted, not rolled back: it holds that database's pages, and
-        // the file underneath is fresh.
-        let journal = journal_path(wal_path.as_ref());
-        journal::discard(&journal)?;
-        let pool = Arc::new(BufferPool::new(pager, config));
-        let root = pool.allocate_page()?;
-        if root != durable::CATALOG_ROOT {
-            return Err(StorageError::Corrupt(format!(
-                "fresh database file allocated page {root} first, expected the catalog root"
-            )));
-        }
-        let wal = Arc::new(Wal::create(wal_path, wal_config)?);
-        let mut db = Database {
-            catalog: Catalog::with_paper_defaults(),
-            pool,
-            tables: BTreeMap::new(),
-            layout: Some(CatalogLayout::new_at_root(root)),
-            wal: Some(wal),
-            journal: Some(journal),
-            next_txn: AtomicU64::new(1),
-            open_txns: AtomicU64::new(0),
-            ckpt_stats: CheckpointStats::default(),
-        };
-        db.checkpoint()?;
-        Ok(db)
-    }
-
-    /// Opens a previously created database file, restoring **all** tables
-    /// and indexes from the durable catalog with zero rebuild scans — and
-    /// then replaying the write-ahead log past the catalog's checkpoint
-    /// LSN, so every statement that was acknowledged before a crash (or an
-    /// unclosed drop) is back, exactly once.
-    ///
-    /// Fails with [`StorageError::Corrupt`] when the file is not a database
-    /// file, was written by an incompatible version, or is torn past what
-    /// crash recovery can explain (a torn *tail* on the last log segment is
-    /// normal — that record was never acknowledged — but damage below the
-    /// durable horizon is not); a corrupt database is never silently
-    /// misread into wrong rows.
-    pub fn open<P: AsRef<Path>>(path: P) -> StorageResult<Self> {
-        Self::open_with_config(path, BufferPoolConfig::default())
-    }
-
-    /// [`Database::open`] with an explicit buffer-pool configuration.
-    pub fn open_with_config<P: AsRef<Path>>(
-        path: P,
-        config: BufferPoolConfig,
-    ) -> StorageResult<Self> {
-        let path = path.as_ref();
-        let pager = Arc::new(FilePager::open(path)?);
-        Self::open_with_pager(pager, wal_prefix(path), config, WalConfig::default())
-    }
-
-    /// Opens a durable database over an arbitrary pager (the
-    /// fault-injection counterpart of [`Database::create_with_pager`]).
-    pub fn open_with_pager(
-        pager: Arc<dyn spgist_storage::Pager>,
-        wal_path: impl AsRef<Path>,
-        config: BufferPoolConfig,
-        wal_config: WalConfig,
-    ) -> StorageResult<Self> {
-        let config = BufferPoolConfig {
-            steal: false,
-            ..config
-        };
-        // A surviving checkpoint journal means the last checkpoint may be
-        // torn — an arbitrary subset of its in-place page writes may have
-        // hit the platter.  Roll every journaled pre-image back *before*
-        // reading the catalog: that restores the exact previous checkpoint
-        // image, and the log (un-pruned — pruning happens after the
-        // journal is deleted) replays everything acknowledged since.
-        let journal = journal_path(wal_path.as_ref());
-        journal::recover(&journal, pager.as_ref())?;
-        let pool = Arc::new(BufferPool::new(pager, config));
-        let (persisted, layout) = durable::read_catalog(&pool)?;
-        let mut tables = BTreeMap::new();
-        for pt in &persisted.tables {
-            let table = Table::from_persisted(Arc::clone(&pool), pt).map_err(|e| {
-                StorageError::Corrupt(format!("table {:?} does not reopen: {e}", pt.name))
-            })?;
-            tables.insert(pt.name.clone(), Arc::new(table));
-        }
-        let (wal, records) = Wal::open(wal_path, wal_config, persisted.checkpoint_lsn)?;
-        let wal = Arc::new(wal);
-        // Pass 1 over the surviving records: which transactions have a
-        // durable `CommitTxn`?  Everything else is a *loser* — the crash
-        // (or an explicit abort) got there before the commit point — and
-        // none of its statements may apply.  Pass 2 below still walks the
-        // records in LSN order, because row ids were assigned in execution
-        // order across transactions; a loser's inserts are replayed as dead
-        // row-directory slots so every later record's ids line up.
-        let winners: HashSet<TxnId> = records
-            .iter()
-            .filter_map(|(_, record)| match record {
-                WalRecord::CommitTxn { txn } => Some(*txn),
-                _ => None,
-            })
-            .collect();
-        let max_txn = records
-            .iter()
-            .map(|(_, record)| record.txn())
-            .max()
-            .unwrap_or(AUTOCOMMIT);
-        let mut db = Database {
-            catalog: Catalog::with_paper_defaults(),
-            pool,
-            tables,
-            layout: Some(layout),
-            // Replay runs with the log detached so the re-executed
-            // statements are not logged again.
-            wal: None,
-            journal: Some(journal),
-            next_txn: AtomicU64::new(max_txn + 1),
-            open_txns: AtomicU64::new(0),
-            ckpt_stats: CheckpointStats::default(),
-        };
-        let replayed = records.len();
-        for (lsn, record) in records {
-            db.replay_record(record, &winners).map_err(|e| {
-                StorageError::Corrupt(format!("WAL replay failed at lsn {lsn}: {e}"))
-            })?;
-        }
-        db.wal = Some(Arc::clone(&wal));
-        for table in db.tables.values_mut() {
-            Arc::get_mut(table)
-                .expect("tables are exclusively owned during open")
-                .attach_wal(Arc::clone(&wal));
-        }
-        if replayed > 0 {
-            // Fold the replayed tail into a fresh checkpoint so the log
-            // shrinks instead of being replayed again (and again) across
-            // reopens.
-            db.checkpoint()?;
-        }
-        Ok(db)
-    }
-
-    /// Applies one recovered redo record.  Each case is idempotent against
-    /// the checkpoint image (the log cut can overlap it — see
-    /// [`Database::checkpoint`]): DML verifies row-id positions, DDL checks
-    /// existence before re-executing.
-    ///
-    /// `winners` is the set of transactions whose `CommitTxn` survived in
-    /// the log.  A DML record of any other transaction is a *loser*: its
-    /// insert only allocates dead row-id slots (keeping later ids aligned)
-    /// and its delete is skipped outright — none of its changes, and no
-    /// index entries, reach the recovered state.
-    fn replay_record(&mut self, record: WalRecord, winners: &HashSet<TxnId>) -> StorageResult<()> {
-        let missing = |table: &str| {
-            StorageError::Corrupt(format!("WAL record names unknown table {table:?}"))
-        };
-        let committed = |txn: TxnId| txn == AUTOCOMMIT || winners.contains(&txn);
-        match record {
-            WalRecord::Insert {
-                table,
-                row,
-                datum,
-                txn,
-            } => {
-                let t = self.tables.get(&table).ok_or_else(|| missing(&table))?;
-                if committed(txn) {
-                    t.replay_insert(row, std::slice::from_ref(&datum))
-                } else {
-                    t.replay_loser_insert(row, 1)
-                }
-            }
-            WalRecord::InsertMany {
-                table,
-                first_row,
-                datums,
-                txn,
-            } => {
-                let t = self.tables.get(&table).ok_or_else(|| missing(&table))?;
-                if committed(txn) {
-                    t.replay_insert(first_row, &datums)
-                } else {
-                    t.replay_loser_insert(first_row, datums.len() as u64)
-                }
-            }
-            WalRecord::Delete { table, row, txn } => {
-                let t = self.tables.get(&table).ok_or_else(|| missing(&table))?;
-                if committed(txn) {
-                    t.delete(row).map(|_| ())
-                } else {
-                    // A loser's delete never happened: the row stays (the
-                    // live abort path restored it via undo before the
-                    // crash, or the crash itself pre-empted the delete's
-                    // commit).
-                    Ok(())
-                }
-            }
-            // Transaction control records carry no state of their own;
-            // their effect is the winner/loser split computed in pass 1.
-            WalRecord::BeginTxn { .. }
-            | WalRecord::CommitTxn { .. }
-            | WalRecord::AbortTxn { .. } => Ok(()),
-            WalRecord::CreateTable { table, key_type } => {
-                if self.tables.contains_key(&table) {
-                    return Ok(()); // already in the checkpoint image
-                }
-                let t =
-                    Table::create(&table, KeyType::from_tag(key_type)?, Arc::clone(&self.pool))?;
-                self.tables.insert(table, Arc::new(t));
-                Ok(())
-            }
-            WalRecord::DropTable { table } => {
-                let Some(t) = self.tables.remove(&table) else {
-                    return Ok(());
-                };
-                Arc::try_unwrap(t)
-                    .expect("tables are exclusively owned during replay")
-                    .destroy()
-            }
-            WalRecord::CreateIndex { table, index, spec } => {
-                let spec = IndexSpec::decode_spec(&spec)?;
-                let t = self.tables.get_mut(&table).ok_or_else(|| missing(&table))?;
-                let t = Arc::get_mut(t).expect("tables are exclusively owned during replay");
-                if t.indexes.iter().any(|i| i.name == index) {
-                    return Ok(());
-                }
-                t.create_index(&index, spec)
-            }
-            WalRecord::DropIndex { table, index } => {
-                let t = self.tables.get_mut(&table).ok_or_else(|| missing(&table))?;
-                Arc::get_mut(t)
-                    .expect("tables are exclusively owned during replay")
-                    .drop_index(&index)
-                    .map(|_| ())
-            }
-        }
-    }
-
-    /// True when this database persists its catalog to a file (created with
-    /// [`Database::create`] / [`Database::open`]).
-    pub fn is_durable(&self) -> bool {
-        self.layout.is_some()
-    }
-
-    /// Persists the catalog delta since the last checkpoint — mutated
-    /// tables' metadata and dirty row/heap chunks; an untouched table costs
-    /// zero page writes — flushes the dirty data pages to stable storage,
-    /// and **truncates the write-ahead log** up to the checkpoint.  A no-op
-    /// for in-memory databases.
-    ///
-    /// The protocol (same shape as the pre-v3 full rewrite, with the write
-    /// sets shrunk to what changed):
-    ///
-    /// 1. **Quiesce.**  Every table's DML lock is taken, but only for the
-    ///    *in-memory* part of the checkpoint: the log cut, the per-table
-    ///    dirty-chunk snapshots, and a memcpy of the dirty data pages.  No
-    ///    statement can be half-applied (a heap page without its index
-    ///    updates, half an index split) in the images being snapshotted.
-    ///    The guards drop before any disk I/O — writers stall for the
-    ///    snapshot, not for the fsyncs.
-    /// 2. **Rotate.**  The log is rotated; `cut` = everything appended so
-    ///    far becomes durable and sealed, and (thanks to step 1) every
-    ///    record below the cut is fully reflected in the snapshots.
-    /// 3. **Journal.**  The current *on-disk* image of every page about to
-    ///    be overwritten in place (the snapshotted data pages + the catalog
-    ///    pages the delta reuses) is written to the pre-image journal
-    ///    (`<wal prefix>.ckpt`) and synced.  From here until step 6 a crash
-    ///    recovers by rolling the journal back — restoring the exact
-    ///    previous checkpoint — and replaying the un-pruned log.  Reading
-    ///    pre-images from the pager after the guards dropped is sound: the
-    ///    pool is no-steal, so nothing reaches the file between step 4 of
-    ///    the previous checkpoint and step 4 of this one.
-    /// 4. **Flush data, sync.**  The *snapshot* images are written and
-    ///    synced — not the live frames, which concurrent DML may already
-    ///    have advanced past the log cut (their referenced pages would not
-    ///    be flushed, tearing the checkpoint).  A frame re-dirtied since
-    ///    the snapshot keeps its dirty flag and ships with the next
-    ///    checkpoint.  Data lands *before* any catalog write, so a torn
-    ///    crash can never persist a catalog that claims `checkpoint_lsn =
-    ///    cut` over data pages that do not reflect it.
-    /// 5. **Write catalog delta, sync.**  Dirty chunks are rewritten in
-    ///    place (relocated only when a segment grows), mutated tables'
-    ///    metadata and the root are rewritten, and exactly those pages are
-    ///    flushed.
-    /// 6. **Commit.**  The journal is deleted — the checkpoint is now the
-    ///    recovery point.  Only then are deferred page frees published
-    ///    (rollback would re-expose their contents) and sealed log
-    ///    segments below the cut pruned.
-    ///
-    /// A crash anywhere before step 6 recovers from the previous
-    /// checkpoint plus the un-pruned log: nothing acknowledged is lost,
-    /// checkpointing is *purely* a log-truncation (and reopen-speed)
-    /// optimization.  [`Database::checkpoint_stats`] reports what each
-    /// checkpoint wrote and skipped.
-    pub fn checkpoint(&mut self) -> StorageResult<()> {
-        // No-steal quiesce: uncommitted transactional work must never reach
-        // the data file.  `&mut self` already guarantees no `Transaction`
-        // borrow is live; this guard catches the test-only crash-simulation
-        // escape hatch, which leaks its registration on purpose.
-        let open = self.open_txns.load(Ordering::SeqCst) as usize;
-        if open != 0 {
-            return Err(StorageError::OpenTransactions(open));
-        }
-        if self.layout.is_none() {
-            return Ok(());
-        }
-
-        // Steps 1-2: the quiesce window — log cut and in-memory snapshots
-        // under every table's DML guard, no disk I/O.
-        let quiesce_start = std::time::Instant::now();
-        let guards: Vec<MutexGuard<'_, ()>> = self.tables.values().map(|t| t.dml_guard()).collect();
-        let checkpoint_lsn = match &self.wal {
-            Some(wal) => wal.rotate()?,
-            None => 0,
-        };
-        let mut snaps: Vec<TableSnapshot> = Vec::new();
-        let mut tables_skipped = 0u64;
-        for table in self.tables.values() {
-            match table.take_checkpoint_snapshot() {
-                Some(snap) => snaps.push(snap),
-                None => tables_skipped += 1,
-            }
-        }
-        let data = self.pool.dirty_snapshot();
-        drop(guards);
-        let quiesce_nanos = quiesce_start.elapsed().as_nanos() as u64;
-
-        match self.checkpoint_persist(&snaps, &data, checkpoint_lsn) {
-            Ok((outcome, journal_bytes)) => {
-                let stats = &mut self.ckpt_stats;
-                stats.checkpoints += 1;
-                stats.chunks_written += outcome.chunks_written;
-                stats.chunks_skipped += outcome.chunks_skipped;
-                stats.tables_skipped += tables_skipped;
-                stats.catalog_bytes += outcome.bytes_written;
-                stats.data_pages_flushed += data.len() as u64;
-                stats.journal_bytes += journal_bytes;
-                stats.quiesce_nanos += quiesce_nanos;
-                Ok(())
-            }
-            Err(e) => {
-                // The snapshots were consumed but the disk state is now in
-                // doubt; make the next checkpoint rewrite the snapshotted
-                // tables wholesale.  The journal survives with the original
-                // pre-images (its old-wins merge keeps them across a
-                // retry), so rollback still restores the last commit point.
-                for snap in &snaps {
-                    if let Some(table) = self.tables.get(&snap.name) {
-                        table.mark_all_dirty();
-                    }
-                }
-                Err(e)
-            }
-        }
-    }
-
-    /// Steps 3-6 of [`Database::checkpoint`]: journal → flush data → write
-    /// catalog delta → flush catalog → delete journal → publish frees,
-    /// prune log.  Runs after the quiesce guards have dropped.
-    fn checkpoint_persist(
-        &mut self,
-        snaps: &[TableSnapshot],
-        data: &spgist_storage::DirtyPageSnapshot,
-        checkpoint_lsn: u64,
-    ) -> StorageResult<(durable::CatalogWriteOutcome, u64)> {
-        let layout = self
-            .layout
-            .as_mut()
-            .expect("checkpoint_persist requires a durable database");
-        let mut journal_bytes = 0;
-        if let Some(journal) = &self.journal {
-            // Journal the pre-images before the first in-place write.  The
-            // ids are collected *before* the catalog update relocates any
-            // segment; reads go through the pager (not the pool) to capture
-            // the on-disk content.
-            let mut ids: BTreeSet<PageId> = data.page_ids().into_iter().collect();
-            ids.extend(durable::overwrite_targets(layout, snaps));
-            journal_bytes = journal::write_pre_images(journal, self.pool.pager().as_ref(), ids)?;
-        }
-        self.pool.flush_snapshot(data)?;
-        let live: BTreeSet<String> = self.tables.keys().cloned().collect();
-        let outcome =
-            durable::apply_catalog_update(&self.pool, layout, snaps, &live, checkpoint_lsn)?;
-        self.pool.flush_pages_subset(&outcome.written_pages)?;
-        if let Some(journal) = &self.journal {
-            journal::discard(journal)?;
-        }
-        self.pool.publish_pending()?;
-        if let Some(wal) = &self.wal {
-            wal.prune(checkpoint_lsn)?;
-        }
-        Ok((outcome, journal_bytes))
-    }
-
-    /// A full-rewrite checkpoint: marks every table wholly dirty, so the
-    /// incremental machinery rewrites the complete catalog — the pre-v3
-    /// behavior.  Never needed for correctness; the `checkpoint` bench
-    /// experiment uses it as the baseline incremental checkpoints are
-    /// measured against.
-    pub fn checkpoint_full(&mut self) -> StorageResult<()> {
-        for table in self.tables.values() {
-            table.mark_all_dirty();
-        }
-        self.checkpoint()
-    }
-
-    /// Running checkpoint counters — chunks written/skipped, catalog and
-    /// journal bytes, quiesce time — next to the pool's
-    /// [`IoStats`](spgist_storage::IoStats).  Counters accumulate across
-    /// checkpoints; diff with [`CheckpointStats::delta_since`] to meter one.
-    pub fn checkpoint_stats(&self) -> CheckpointStats {
-        self.ckpt_stats
-    }
-
-    /// Test hook: poisons the write-ahead log exactly as a flusher I/O
-    /// failure would, so the fail-fast behavior above it (DML and queries
-    /// rejected until a reopen recovers) can be exercised without a real
-    /// disk fault.  No-op for in-memory databases.
-    #[doc(hidden)]
-    pub fn fail_wal_for_test(&self, msg: &str) {
-        if let Some(wal) = &self.wal {
-            wal.fail_for_test(msg);
-        }
-    }
-
-    /// Checkpoints and consumes the database (clean shutdown).  A file
-    /// closed this way reopens with [`Database::open`] restoring every
-    /// table, row and index without any log replay.
-    ///
-    /// Dropping a durable database *without* closing it is safe too —
-    /// acknowledged statements are recovered from the write-ahead log on
-    /// the next open; closing just makes the reopen replay-free.
-    pub fn close(mut self) -> StorageResult<()> {
-        self.checkpoint()
-    }
-
-    /// Opens a multi-statement transaction.  Statements run through the
-    /// returned [`Transaction`] handle are applied immediately (visible to
-    /// concurrent readers — atomicity and durability, not isolation) but
-    /// are **acknowledged only at [`Transaction::commit`]**: none of them
-    /// waits for an fsync of its own, and a crash before the commit point
-    /// erases all of them.  [`Transaction::abort`] (or dropping the handle)
-    /// rolls every statement back via logical undo.
-    ///
-    /// DDL stays auto-commit and is not available through the handle; it
-    /// needs `&mut Database`, which the borrow on the open transaction
-    /// denies — so a checkpoint (which must not persist uncommitted work
-    /// into the no-steal data file) can never run mid-transaction.
-    ///
-    /// Transactions work on in-memory databases too: same atomicity via
-    /// undo, no durability (there is no log to commit into).
-    pub fn begin(&self) -> StorageResult<Transaction<'_>> {
-        if let Some(wal) = &self.wal {
-            // Fail fast on a poisoned log rather than at the first statement.
-            wal.health().map_err(|e| {
-                StorageError::Io(std::io::Error::other(format!(
-                    "database failed after a write-ahead log error \
-                     (reopen to recover): {e}"
-                )))
-            })?;
-        }
-        let id = self.next_txn.fetch_add(1, Ordering::Relaxed);
-        self.open_txns.fetch_add(1, Ordering::SeqCst);
-        Ok(Transaction {
-            db: self,
-            id,
-            began: false,
-            undo: Vec::new(),
-            done: false,
-        })
-    }
-
-    /// The write-ahead log of a durable database (`None` in-memory):
-    /// fsync/record counters for the bench harness, plus the durable-LSN
-    /// watermark.
-    pub fn wal(&self) -> Option<&Arc<Wal>> {
-        self.wal.as_ref()
-    }
-
-    /// The system catalog (access methods and operator classes).
-    pub fn catalog(&self) -> &Catalog {
-        &self.catalog
-    }
-
-    /// The shared buffer pool behind every table and index (exposes I/O
-    /// accounting: `db.pool().stats()`).
-    pub fn pool(&self) -> &Arc<BufferPool> {
-        &self.pool
-    }
-
-    /// Mutable catalog access — registering or dropping operator classes
-    /// changes how subsequent queries are routed, without touching any
-    /// physical index.
-    pub fn catalog_mut(&mut self) -> &mut Catalog {
-        &mut self.catalog
-    }
-
-    /// Appends a DDL redo record after the statement's write-through
-    /// checkpoint succeeded.  The record is technically redundant with that
-    /// checkpoint — replay only needs it when recovering from an *earlier*
-    /// checkpoint (a later one failed or was torn), where its existence
-    /// checks re-execute or skip it as the image requires.  Logged after
-    /// the checkpoint so a rolled-back statement leaves no record behind.
-    fn log_ddl(&self, record: WalRecord) -> StorageResult<()> {
-        match &self.wal {
-            Some(wal) => wal.append(&record).map(|_| ()),
-            None => Ok(()),
-        }
-    }
-
-    /// Creates an empty table with the given key type.  On a durable
-    /// database the catalog update is written through (checkpointed) before
-    /// returning; if the write-through fails, the in-memory table is rolled
-    /// back so memory and disk never diverge.
-    pub fn create_table(&mut self, name: &str, key_type: KeyType) -> StorageResult<()> {
-        if self.tables.contains_key(name) {
-            return Err(StorageError::Unsupported(format!(
-                "table {name:?} already exists"
-            )));
-        }
-        let mut table = Table::create(name, key_type, Arc::clone(&self.pool))?;
-        if let Some(wal) = &self.wal {
-            table.attach_wal(Arc::clone(wal));
-        }
-        self.tables.insert(name.to_string(), Arc::new(table));
-        if let Err(e) = self.checkpoint() {
-            // A fresh table owns no pages yet: dropping the entry is a
-            // complete rollback, and a retry can succeed.
-            self.tables.remove(name);
-            return Err(e);
-        }
-        self.log_ddl(WalRecord::CreateTable {
-            table: name.to_string(),
-            key_type: key_type.tag(),
-        })
-    }
-
-    /// Builds a physical index on the named table, backfilling it from the
-    /// existing heap rows (`CREATE INDEX`).  DDL: fails while shared handles
-    /// are outstanding.  On a durable database the catalog update is written
-    /// through before returning; a failed write-through drops the
-    /// just-built index again (releasing its pages) so memory and disk
-    /// never diverge.
-    pub fn create_index(&mut self, table: &str, index: &str, spec: IndexSpec) -> StorageResult<()> {
-        self.table_ddl(table)?.create_index(index, spec)?;
-        if let Err(e) = self.checkpoint() {
-            if let Ok(t) = self.table_ddl(table) {
-                let _ = t.drop_index(index);
-            }
-            return Err(e);
-        }
-        self.log_ddl(WalRecord::CreateIndex {
-            table: table.to_string(),
-            index: index.to_string(),
-            spec: spec.encode_spec(),
-        })
-    }
-
-    /// Drops a physical index from the named table, releasing its pages;
-    /// returns whether it existed.  DDL: fails while shared handles are
-    /// outstanding.  The index-less catalog is persisted *before* the pages
-    /// are freed, so a crash in between merely leaks pages — the on-disk
-    /// catalog can never name pages that were already handed back for
-    /// reuse.  A failed write-through re-attaches the index.
-    pub fn drop_index(&mut self, table: &str, index: &str) -> StorageResult<bool> {
-        let Some(named) = self.table_ddl(table)?.detach_index(index) else {
-            return Ok(false);
-        };
-        if let Err(e) = self.checkpoint() {
-            self.table_ddl(table)?.attach_index(named);
-            return Err(e);
-        }
-        self.log_ddl(WalRecord::DropIndex {
-            table: table.to_string(),
-            index: index.to_string(),
-        })?;
-        named.index.destroy()?;
-        Ok(true)
-    }
-
-    /// Exclusive (DDL) access to a table, as a `StorageResult` (unlike
-    /// [`Database::table_mut`], which collapses "missing" and "shared" into
-    /// `None`).
-    fn table_ddl(&mut self, name: &str) -> StorageResult<&mut Table> {
-        let arc = self
-            .tables
-            .get_mut(name)
-            .ok_or_else(|| StorageError::Unsupported(format!("no table named {name:?}")))?;
-        Arc::get_mut(arc).ok_or_else(|| {
-            StorageError::Unsupported(format!(
-                "cannot run DDL on table {name:?} while shared handles are outstanding"
-            ))
-        })
-    }
-
-    /// Drops a table, releasing its heap pages and every index's pages to
-    /// the pager's free list; returns whether it existed.  Fails while
-    /// shared handles from [`Database::table_handle`] are outstanding
-    /// (`AccessExclusiveLock` semantics).
-    pub fn drop_table(&mut self, name: &str) -> StorageResult<bool> {
-        let Some(table) = self.tables.remove(name) else {
-            return Ok(false);
-        };
-        match Arc::try_unwrap(table) {
-            Ok(table) => {
-                // Persist the table-less catalog *before* destroying: if
-                // the checkpoint fails the table is restored untouched, and
-                // a crash after the checkpoint but before the destroy only
-                // leaks the pages — the on-disk catalog never names pages
-                // that were already freed for reuse.
-                if let Err(e) = self.checkpoint() {
-                    self.tables.insert(name.to_string(), Arc::new(table));
-                    return Err(e);
-                }
-                self.log_ddl(WalRecord::DropTable {
-                    table: name.to_string(),
-                })?;
-                table.destroy()?;
-                Ok(true)
-            }
-            Err(table) => {
-                // Put it back: dropping a shared table would pull pages out
-                // from under live handles.
-                self.tables.insert(name.to_string(), table);
-                Err(StorageError::Unsupported(format!(
-                    "cannot drop table {name:?} while shared handles are outstanding"
-                )))
-            }
-        }
-    }
-
-    /// Looks up a table.
-    pub fn table(&self, name: &str) -> Option<&Table> {
-        self.tables.get(name).map(Arc::as_ref)
-    }
-
-    /// Clones out a shared, `Send + Sync` handle on a table for concurrent
-    /// DML and queries from other threads.
-    pub fn table_handle(&self, name: &str) -> Option<Arc<Table>> {
-        self.tables.get(name).cloned()
-    }
-
-    /// Looks up a table for DDL (exclusive access).  `None` if the table
-    /// does not exist *or* shared handles are outstanding.
-    pub fn table_mut(&mut self, name: &str) -> Option<&mut Table> {
-        self.tables.get_mut(name).and_then(Arc::get_mut)
-    }
-
-    fn table_or_err(&self, name: &str) -> StorageResult<&Table> {
-        self.tables
-            .get(name)
-            .map(Arc::as_ref)
-            .ok_or_else(|| StorageError::Unsupported(format!("no table named {name:?}")))
-    }
-
-    /// Plans `query` (a [`Query`] or bare [`Predicate`]) against the named
-    /// table (`EXPLAIN`).
-    pub fn plan(&self, table: &str, query: impl Into<Query>) -> StorageResult<AccessPath> {
-        self.table_or_err(table)?.plan(&self.catalog, query)
-    }
-
-    /// Plans and executes `query` (a [`Query`] or bare [`Predicate`])
-    /// against the named table, returning a streaming cursor.
-    pub fn query<'d>(
-        &'d self,
-        table: &str,
-        query: impl Into<Query>,
-    ) -> StorageResult<ExecCursor<'d>> {
-        self.table_or_err(table)?.query(&self.catalog, query)
-    }
-
-    /// Plans and executes a batch of queries against the named table on a
-    /// pool of `n_threads` scoped worker threads — the multi-threaded query
-    /// driver.
-    ///
-    /// Workers pull queries from a shared counter (so skewed query costs
-    /// balance out) and each result lands in its query's input position:
-    /// the output is deterministic and identical to running the batch
-    /// serially, whatever the interleaving.  Fails with the first error any
-    /// query produced.
-    pub fn run_parallel(
-        &self,
-        table: &str,
-        queries: &[Query],
-        n_threads: usize,
-    ) -> StorageResult<Vec<Vec<RowId>>> {
-        let table = self.table_or_err(table)?;
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<StorageResult<Vec<RowId>>>>> =
-            queries.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..n_threads.clamp(1, queries.len().max(1)) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(query) = queries.get(i) else { break };
-                    let result = table.query(&self.catalog, query).and_then(ExecCursor::rows);
-                    *slots[i].lock() = Some(result);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every query slot is filled"))
-            .collect()
-    }
-
-    /// [`Database::run_parallel`] for one query per call site: plans and
-    /// executes `query` with [`Table::query_parallel`]'s partitioned scans.
-    pub fn query_parallel(
-        &self,
-        table: &str,
-        query: impl Into<Query>,
-        n_threads: usize,
-    ) -> StorageResult<Vec<(RowId, Datum)>> {
-        self.table_or_err(table)?
-            .query_parallel(&self.catalog, query, n_threads)
-    }
-}
-
-impl std::fmt::Debug for Database {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Database")
-            .field("tables", &self.tables.keys().collect::<Vec<_>>())
-            .finish()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Transactions
-// ---------------------------------------------------------------------------
-
-/// The inverse of one applied transactional statement, executed in reverse
-/// order on abort.  Undo is **not** logged: if the process dies mid-abort,
-/// recovery reaches the same end state by dropping the loser transaction's
-/// redo records, so compensation records would be redundant.
-enum UndoOp {
-    /// Undo an insert statement (one row is a one-row batch): remove rows
-    /// `first_row..first_row+count` again (their id slots stay allocated).
-    InsertMany {
-        table: Arc<Table>,
-        first_row: RowId,
-        count: u64,
-    },
-    /// Undo a delete: re-insert the remembered datum at its original row id.
-    Delete {
-        table: Arc<Table>,
-        row: RowId,
-        datum: Datum,
-    },
-}
-
-/// A multi-statement transaction from [`Database::begin`].
-///
-/// Statements apply immediately and are logged with this transaction's id,
-/// but none of them waits for an fsync: the **commit point is the
-/// `CommitTxn` record** that [`Transaction::commit`] submits and waits on —
-/// one group-committed fsync makes the whole transaction durable.  Until
-/// then the transaction is a *loser*: recovery after a crash drops every
-/// one of its statements (their logged row ids are preserved as dead
-/// row-directory slots so later statements' ids stay aligned, but no row
-/// data and no index entry survive).
-///
-/// [`Transaction::abort`] — or dropping the handle without committing —
-/// applies logical undo in reverse statement order: inserts are removed,
-/// deletes are re-inserted from the remembered datum.
-///
-/// What transactions do **not** provide is isolation: statements are
-/// visible to concurrent readers the moment they apply, exactly like
-/// auto-commit DML (see the crate's scan-semantics notes).  DDL remains
-/// auto-commit and requires `&mut Database`, which this handle's shared
-/// borrow denies while it is open.
-pub struct Transaction<'db> {
-    db: &'db Database,
-    id: TxnId,
-    /// Whether `BeginTxn` has been submitted (lazily, just before the first
-    /// logged statement — a read-only transaction leaves no log trace).
-    began: bool,
-    undo: Vec<UndoOp>,
-    /// Set by `commit`/`abort`; `Drop` rolls back when still false.
-    done: bool,
-}
-
-impl<'db> Transaction<'db> {
-    /// This transaction's id, as it appears in the log records.
-    pub fn id(&self) -> TxnId {
-        self.id
-    }
-
-    /// Number of statements executed (and thus undoable) so far.
-    pub fn statement_count(&self) -> usize {
-        self.undo.len()
-    }
-
-    fn table(&self, name: &str) -> StorageResult<Arc<Table>> {
-        self.db
-            .table_handle(name)
-            .ok_or_else(|| StorageError::Unsupported(format!("no table named {name:?}")))
-    }
-
-    /// Submits `BeginTxn` before the first logged statement, so replay sees
-    /// the transaction open strictly before any of its statements.
-    fn ensure_begun(&mut self) -> StorageResult<()> {
-        if !self.began {
-            if let Some(wal) = &self.db.wal {
-                wal.submit(&WalRecord::BeginTxn { txn: self.id })?;
-            }
-            self.began = true;
-        }
-        Ok(())
-    }
-
-    /// Inserts a value into `table` under this transaction; the row id is
-    /// assigned immediately but the insert is not durable (and not
-    /// acknowledged) until [`Transaction::commit`].
-    pub fn insert(&mut self, table: &str, datum: impl Into<Datum>) -> StorageResult<RowId> {
-        Ok(self.insert_many(table, [datum.into()])?[0])
-    }
-
-    /// Inserts a batch into `table` as one statement (one redo record)
-    /// under this transaction.
-    pub fn insert_many<I>(&mut self, table: &str, data: I) -> StorageResult<Vec<RowId>>
-    where
-        I: IntoIterator,
-        I::Item: Into<Datum>,
-    {
-        let t = self.table(table)?;
-        self.ensure_begun()?;
-        let data: Vec<Datum> = data.into_iter().map(Into::into).collect();
-        let (rows, _lsn) = t.insert_many_logged(data, self.id)?;
-        if let Some(&first_row) = rows.first() {
-            self.undo.push(UndoOp::InsertMany {
-                table: t,
-                first_row,
-                count: rows.len() as u64,
-            });
-        }
-        Ok(rows)
-    }
-
-    /// Deletes a row from `table` under this transaction; returns whether
-    /// the row existed.  An abort re-inserts it at the same row id.
-    pub fn delete(&mut self, table: &str, row: RowId) -> StorageResult<bool> {
-        let t = self.table(table)?;
-        self.ensure_begun()?;
-        let (datum, _lsn) = t.delete_logged(row, self.id)?;
-        match datum {
-            Some(datum) => {
-                self.undo.push(UndoOp::Delete {
-                    table: t,
-                    row,
-                    datum,
-                });
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
-
-    /// Commits: submits the `CommitTxn` record and waits for its batch to
-    /// reach disk.  That single fsync (shared with whatever else group
-    /// commit batched) is the commit point for **every** statement of the
-    /// transaction — on success all of them are durable; on a crash before
-    /// it, none of them survive recovery.
-    ///
-    /// If the log fails here the transaction's durability is unknown; the
-    /// database is poisoned (fail-fast on further use) and reopening
-    /// recovers to the log's actual durable horizon, where the transaction
-    /// is either wholly present or wholly absent.
-    pub fn commit(mut self) -> StorageResult<()> {
-        self.done = true;
-        if self.began {
-            if let Some(wal) = &self.db.wal {
-                let lsn = wal.submit(&WalRecord::CommitTxn { txn: self.id })?;
-                wal.wait_durable(lsn)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Rolls every statement back (reverse order) and marks the
-    /// transaction aborted in the log.  The undo itself is unlogged — see
-    /// [`UndoOp`] — and the `AbortTxn` marker is submitted without waiting:
-    /// recovery treats the transaction as a loser with or without it.
-    pub fn abort(mut self) -> StorageResult<()> {
-        self.done = true;
-        self.rollback()
-    }
-
-    fn rollback(&mut self) -> StorageResult<()> {
-        let mut first_err = None;
-        while let Some(op) = self.undo.pop() {
-            let result = match &op {
-                UndoOp::InsertMany {
-                    table,
-                    first_row,
-                    count,
-                } => (*first_row..first_row + count)
-                    .rev()
-                    .try_for_each(|row| table.undo_insert(row)),
-                UndoOp::Delete { table, row, datum } => table.undo_delete(*row, datum),
-            };
-            if let Err(e) = result {
-                first_err.get_or_insert(e);
-            }
-        }
-        if self.began {
-            if let Some(wal) = &self.db.wal {
-                let _ = wal.submit(&WalRecord::AbortTxn { txn: self.id });
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Test hook: simulates the process dying with this transaction open.
-    /// A real crash runs no destructors, so the handle is forgotten — no
-    /// undo, no `AbortTxn`, and the open-transaction registration stays up
-    /// (a later checkpoint on this `Database` fails rather than persist the
-    /// orphaned uncommitted work).  The only sane follow-up is dropping the
-    /// `Database` and reopening, which drops the transaction as a loser.
-    ///
-    /// The undo list is released first: its entries hold `Arc<Table>`
-    /// handles, and leaking those would keep the WAL (and its flusher
-    /// thread) alive past the `Database` drop — the kill-point harnesses
-    /// rely on that drop draining every submitted record to disk.
-    #[doc(hidden)]
-    pub fn crash_for_test(mut self) {
-        self.undo.clear();
-        std::mem::forget(self);
-    }
-}
-
-impl Drop for Transaction<'_> {
-    /// An uncommitted transaction rolls back on drop (best-effort: undo
-    /// errors cannot surface from `Drop` — call [`Transaction::abort`] to
-    /// observe them).
-    fn drop(&mut self) {
-        if !self.done {
-            let _ = self.rollback();
-        }
-        self.db.open_txns.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-impl std::fmt::Debug for Transaction<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Transaction")
-            .field("id", &self.id)
-            .field("statements", &self.undo.len())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spgist_indexes::geom::Point;
+    use spgist_indexes::query::StringQuery;
+
+    /// The `i`-th of the deterministic five-letter words over a small
+    /// alphabet.
+    fn word(mut i: usize) -> String {
+        (0..5)
+            .map(|_| {
+                let c = char::from(b'a' + (i % 7) as u8);
+                i /= 7;
+                c
+            })
+            .collect()
+    }
 
     fn word_table(n: usize) -> Database {
         let mut db = Database::in_memory();
         db.create_table("words", KeyType::Varchar).unwrap();
         let table = db.table_mut("words").unwrap();
         for i in 0..n {
-            // Deterministic five-letter words over a small alphabet.
-            let mut word = String::new();
-            let mut v = i;
-            for _ in 0..5 {
-                word.push(char::from(b'a' + (v % 7) as u8));
-                v /= 7;
-            }
-            table.insert(word).unwrap();
+            table.insert(word(i)).unwrap();
         }
         db
     }
@@ -3892,73 +1495,6 @@ mod tests {
     }
 
     #[test]
-    fn query_parallel_partitions_seq_scans_deterministically() {
-        // Large enough that the cost gate opens the parallel path.
-        let db = word_table(60_000);
-        let table = db.table("words").unwrap();
-        assert!(
-            table.parallel_seq_scan_pays(4),
-            "60k rows must amortize thread startup"
-        );
-        let pred = Predicate::str_prefix("a");
-        let serial: Vec<(RowId, Datum)> = db
-            .query("words", &pred)
-            .unwrap()
-            .collect::<StorageResult<_>>()
-            .unwrap();
-        for threads in [1, 2, 4, 7] {
-            assert_eq!(
-                db.query_parallel("words", &pred, threads).unwrap(),
-                serial,
-                "chunked scan merges identically at {threads} threads"
-            );
-        }
-        // A pushed-down LIMIT caps the merged result too.
-        let limited = db
-            .query_parallel("words", pred.clone().limit(17), 4)
-            .unwrap();
-        assert_eq!(limited, serial[..17.min(serial.len())]);
-
-        // Small tables fail the gate and stay serial, same answers.
-        let small = word_table(50);
-        assert!(!small.table("words").unwrap().parallel_seq_scan_pays(4));
-        let expect = small.query("words", &pred).unwrap().rows().unwrap();
-        let got: Vec<RowId> = small
-            .query_parallel("words", &pred, 4)
-            .unwrap()
-            .into_iter()
-            .map(|(row, _)| row)
-            .collect();
-        assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn query_parallel_agrees_on_composite_predicates() {
-        let mut db = word_table(4000);
-        db.table_mut("words")
-            .unwrap()
-            .create_index("words_trie", IndexSpec::Trie)
-            .unwrap();
-        db.table_mut("words")
-            .unwrap()
-            .create_index("words_suffix", IndexSpec::SuffixTree)
-            .unwrap();
-        let composite = Predicate::str_prefix("a").and(Predicate::str_substring("b"));
-        let mut serial = db.query("words", &composite).unwrap().rows().unwrap();
-        serial.sort_unstable();
-        for threads in [1, 3, 5] {
-            let mut rows: Vec<RowId> = db
-                .query_parallel("words", &composite, threads)
-                .unwrap()
-                .into_iter()
-                .map(|(row, _)| row)
-                .collect();
-            rows.sort_unstable();
-            assert_eq!(rows, serial, "composite plan agrees at {threads} threads");
-        }
-    }
-
-    #[test]
     fn drop_index_and_drop_table_release_pages() {
         let mut db = word_table(2000);
         let before_free = db.pool().free_page_count();
@@ -4027,14 +1563,8 @@ mod tests {
             // Enough rows that the planner routes selective predicates to
             // the index instead of the (honestly cheaper on tiny tables)
             // sequential scan.
-            for i in 0..3000u32 {
-                let mut word = String::new();
-                let mut v = i;
-                for _ in 0..5 {
-                    word.push(char::from(b'a' + (v % 7) as u8));
-                    v /= 7;
-                }
-                db.table_mut("words").unwrap().insert(word).unwrap();
+            for i in 0..3000 {
+                db.table_mut("words").unwrap().insert(word(i)).unwrap();
             }
             for w in ["space", "spade", "star", "blue"] {
                 db.table_mut("words").unwrap().insert(w).unwrap();
@@ -4336,7 +1866,7 @@ mod tests {
             let table = two_index_table();
             let records = |tag: &str| -> Vec<Vec<u8>> {
                 (0..batch)
-                    .map(|i| Datum::from(format!("{tag}{i}")).encode_record())
+                    .map(|i| Datum::from(format!("{tag}{i}")).to_bytes())
                     .collect()
             };
             // Rows 0..batch stand in for the checkpoint image.
@@ -4373,6 +1903,21 @@ mod tests {
             assert_eq!(table.len(), 2 * end, "batch {batch}");
             assert_eq!(rows_via_each_index(&table, "gap0"), vec![vec![]; 2]);
         }
+    }
+
+    #[test]
+    fn datums_with_trailing_bytes_are_rejected_on_replay_and_heap_reads() {
+        let table = two_index_table();
+        let mut record = Datum::from("word").to_bytes();
+        record.push(0);
+        let err = table.replay_insert(0, std::slice::from_ref(&record));
+        assert!(matches!(err, Err(StorageError::Decode(_))), "{err:?}");
+        assert_eq!(table.len(), 0, "a rejected replay applies nothing");
+        // The same bytes on a heap page: every read of the row fails.
+        table.inner.write().place(0, record).unwrap();
+        assert!(matches!(table.try_datum(0), Err(StorageError::Decode(_))));
+        assert!(matches!(table.delete(0), Err(StorageError::Decode(_))));
+        assert_eq!(table.len(), 1, "a failed delete leaves the row live");
     }
 
     #[test]

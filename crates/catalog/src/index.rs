@@ -11,9 +11,13 @@
 //! [`TableIndex`] is implemented once, for every [`SpIndex`] whose key
 //! type implements [`IndexKey`]: that small trait maps a [`Datum`] to the
 //! `String`/`Point`/`Segment` key and a [`Predicate`] leaf to the typed
-//! query, rejecting values of any other key type.
+//! query, rejecting values of any other key type.  A table registers each
+//! index as a [`NamedIndex`], which also memoizes the page height the
+//! planner reads.
 
 use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 use spgist_core::{RowId, TreeStats};
 use spgist_indexes::geom::{Point, Rect, Segment};
@@ -24,8 +28,8 @@ use spgist_indexes::{
 };
 use spgist_storage::{BufferPool, Codec, StorageError, StorageResult};
 
+use crate::datum::{Datum, KeyType, Predicate};
 use crate::durable::PersistedIndex;
-use crate::exec::{Datum, KeyType, Predicate};
 
 /// Index kind tags persisted in the catalog and in WAL `CREATE INDEX`
 /// records (stable on-disk values).
@@ -243,6 +247,66 @@ pub(crate) trait TableIndex: Send + Sync {
     /// Releases every page of the backing tree to the pager's free list
     /// (`DROP INDEX`).
     fn destroy(self: Box<Self>) -> StorageResult<()>;
+}
+
+/// One entry of a table's index registry: a physical index under its name
+/// and creation spec, plus the planner's memoized page height.
+pub(crate) struct NamedIndex {
+    pub(crate) name: String,
+    pub(crate) spec: IndexSpec,
+    pub(crate) index: Box<dyn TableIndex>,
+    /// The planner's page height, memoized as `(pages_at_walk, height)`:
+    /// the live page count when a [`TreeStats`] walk (or the bulk build)
+    /// last derived `height`.  Writes never touch it; planning re-walks
+    /// only when the live page count drifts out of [`HEIGHT_DRIFT`]× of
+    /// `pages_at_walk` ([`NamedIndex::planner_stats`]).  `None` on a
+    /// reopened index until its first plan walks.
+    pub(crate) height: Mutex<Option<(u64, u32)>>,
+}
+
+/// How far the live page count may drift from the count at the last tree
+/// walk, in either direction, before the memoized page height is
+/// re-derived.  Each re-walk costs O(pages) and the next one waits for the
+/// page count to double or halve, so the walks stay geometric in the pages
+/// allocated.
+const HEIGHT_DRIFT: u64 = 2;
+
+impl NamedIndex {
+    pub(crate) fn new(name: &str, spec: IndexSpec, index: Box<dyn TableIndex>) -> Self {
+        NamedIndex {
+            name: name.to_string(),
+            spec,
+            index,
+            height: Mutex::new(None),
+        }
+    }
+
+    /// The planner's `(pages, page_height)` for this index, the analog of
+    /// PostgreSQL reading a relation's block count from storage and a
+    /// cached tree height: the page count is read live in O(1); the page
+    /// height comes from the memo, refreshed by one whole-tree walk only
+    /// when the page count has left [½×, 2×] of the walked count.
+    pub(crate) fn planner_stats(&self) -> StorageResult<(u64, u32)> {
+        let pages = self.index.page_count();
+        if let Some((walked, height)) = *self.height.lock() {
+            if pages <= walked.saturating_mul(HEIGHT_DRIFT)
+                && pages.saturating_mul(HEIGHT_DRIFT) >= walked
+            {
+                return Ok((pages, height));
+            }
+        }
+        // A concurrent planner may walk too; both store the same kind of
+        // fresh result, so the race costs only the duplicate walk.
+        let stats = self.index.stats()?;
+        self.seed_height(&stats);
+        Ok((pages, stats.max_page_height))
+    }
+
+    /// Memoizes the page height of a walk (or of a bulk build) that saw
+    /// `stats.pages` pages.
+    pub(crate) fn seed_height(&self, stats: &TreeStats) {
+        *self.height.lock() = Some((stats.pages, stats.max_page_height));
+    }
 }
 
 /// An index key type a [`Datum`] can hold, with the query type its

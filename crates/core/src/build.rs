@@ -1,10 +1,11 @@
 //! The bulk-build pipeline: `spgistbuild` (paper Section 4).
 //!
-//! [`SpGistTree::insert`] grows a tree one key at a time: every key walks
-//! from the root, and an overfull data node is decomposed only when the
-//! insertion that overfills it arrives — so a page hosting a busy subtree is
-//! rewritten over and over as later splits reshape it.  That is the right
-//! behavior online, and the wrong algorithm for loading a known data set.
+//! [`SpGistTree::insert`](crate::SpGistTree::insert) grows a tree one key
+//! at a time: every key walks from the root, and an overfull data node is
+//! decomposed only when the insertion that overfills it arrives — so a
+//! page hosting a busy subtree is rewritten over and over as later splits
+//! reshape it.  That is the right behavior online, and the wrong algorithm
+//! for loading a known data set.
 //!
 //! [`BulkBuilder`] is the dedicated index-build entry point instead: it takes
 //! the *whole* `(key, row)` set, recursively applies

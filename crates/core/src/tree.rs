@@ -3,7 +3,7 @@
 //! These methods are "the core of SP-GiST and are the same for all
 //! SP-GiST-based indexes" (paper Section 3.1).  They are parameterized by an
 //! [`SpGistOps`] implementation — the external methods a developer writes —
-//! and by the [`SpGistConfig`] interface parameters.  All node reads and
+//! and by the [`SpGistConfig`](crate::SpGistConfig) interface parameters.  All node reads and
 //! writes go through [`NodeStore`], which performs the node→page clustering.
 //!
 //! # Concurrency model

@@ -689,7 +689,7 @@ fn wal_poison_fails_dml_and_queries_until_reopen() {
         for i in 0..10 {
             table.insert(word(i)).unwrap(); // acknowledged
         }
-        db.fail_wal_for_test("injected flusher failure");
+        db.wal().unwrap().fail_for_test("injected flusher failure");
         assert!(table.insert(word(10)).is_err(), "DML is rejected");
         assert!(
             db.query("words", Predicate::str_prefix("word-")).is_err(),
